@@ -122,6 +122,23 @@ func (b *BitArray) Snapshot() *BitArray {
 	return &c
 }
 
+// Stats returns a statistics-only copy of b: the size and the maintained
+// zero count, with no words. Every statistic (Size, ZeroCount, OnesCount,
+// ZeroFraction) reads exactly as on b at the time of the call, but the copy
+// holds no bits, so Get and Set on it panic and MarshalBinary, Clone and
+// UnionWith refuse it. Unlike Snapshot it leaves b's words unshared, so b's
+// next write pays no copy. The estimates-only views of the serving path
+// carry one of these.
+func (b *BitArray) Stats() *BitArray {
+	return &BitArray{size: b.size, zeros: b.zeros}
+}
+
+// HasWords reports whether b holds its bits, false only for a Stats copy.
+func (b *BitArray) HasWords() bool { return len(b.words) > 0 }
+
+// errStatsOnly is returned by the operations a Stats copy cannot serve.
+var errStatsOnly = errors.New("bitarray: statistics-only copy holds no bits")
+
 // detach gives b a private copy of the backing words if a snapshot may still
 // alias them. Called before every word write.
 func (b *BitArray) detach() {
@@ -155,7 +172,13 @@ func (b *BitArray) Audit() error {
 }
 
 // Clone returns a deep copy (eager, unlike Snapshot's lazy copy-on-write).
+// It panics on a Stats copy, which has no bits to copy: a clone is a
+// mutable array, and one built from statistics alone would be a sketch
+// that silently forgot every bit.
 func (b *BitArray) Clone() *BitArray {
+	if !b.HasWords() {
+		panic(errStatsOnly.Error())
+	}
 	w := make([]uint64, len(b.words))
 	copy(w, b.words)
 	return &BitArray{words: w, size: b.size, zeros: b.zeros}
@@ -167,6 +190,9 @@ func (b *BitArray) Clone() *BitArray {
 func (b *BitArray) UnionWith(other *BitArray) error {
 	if other == nil || other.size != b.size {
 		return errors.New("bitarray: union requires equal sizes")
+	}
+	if !b.HasWords() || !other.HasWords() {
+		return errStatsOnly
 	}
 	b.detach()
 	zeros := 0
@@ -189,8 +215,12 @@ func (b *BitArray) UnionWith(other *BitArray) error {
 
 const marshalMagic = "BARR"
 
-// MarshalBinary serializes the array (magic, size, words).
+// MarshalBinary serializes the array (magic, size, words). It fails on a
+// Stats copy, whose serialization would restore as an all-zero array.
 func (b *BitArray) MarshalBinary() ([]byte, error) {
+	if !b.HasWords() {
+		return nil, errStatsOnly
+	}
 	out := make([]byte, 0, 4+8+8*len(b.words))
 	out = append(out, marshalMagic...)
 	out = binary.LittleEndian.AppendUint64(out, uint64(b.size))

@@ -105,3 +105,41 @@ func TestDetachOncePerSnapshot(t *testing.T) {
 }
 
 var sink any // defeats dead-code elimination in alloc tests
+
+// TestStatsCopy: a Stats copy freezes the statistics without sharing the
+// words — the parent's next write stays in place — and every operation
+// that needs the words refuses it.
+func TestStatsCopy(t *testing.T) {
+	b := New(257)
+	b.Set(3)
+	b.Set(256)
+	st := b.Stats()
+	if st.HasWords() || !b.HasWords() {
+		t.Fatal("HasWords: the Stats copy must have none, the parent its own")
+	}
+	if st.Size() != 257 || st.ZeroCount() != 255 || st.ZeroFraction() != b.ZeroFraction() {
+		t.Fatalf("Stats copy reads size %d zeros %d", st.Size(), st.ZeroCount())
+	}
+	if b.shared {
+		t.Fatal("Stats marked the parent's words shared: its next write would copy them")
+	}
+	b.Set(7)
+	if st.ZeroCount() != 255 {
+		t.Fatal("a parent write moved the Stats copy's zero count")
+	}
+	if _, err := st.MarshalBinary(); err == nil {
+		t.Fatal("MarshalBinary of a Stats copy succeeded")
+	}
+	if err := b.UnionWith(st); err == nil {
+		t.Fatal("UnionWith from a Stats copy succeeded")
+	}
+	if err := st.UnionWith(b); err == nil {
+		t.Fatal("UnionWith into a Stats copy succeeded")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Clone of a Stats copy did not panic")
+		}
+	}()
+	st.Clone()
+}

@@ -38,8 +38,9 @@ import (
 // different cells and their union means nothing.
 
 // ErrIncompatible is returned (wrapped) by Merge when the two sketches were
-// not built with identical parameters, or when a sketch is merged into
-// itself.
+// not built with identical parameters, when a sketch is merged into itself,
+// or when either side is an estimates-only view (SnapshotEstimates), whose
+// array holds no words to union.
 var ErrIncompatible = errors.New("sketches not mergeable")
 
 // Clone returns a deep copy of f: mutating either sketch never affects the
@@ -70,6 +71,9 @@ func (f *FreeBS) Merge(other *FreeBS) error {
 	}
 	if other == f {
 		return fmt.Errorf("core: FreeBS.Merge with itself: %w", ErrIncompatible)
+	}
+	if !f.bits.HasWords() || !other.bits.HasWords() {
+		return fmt.Errorf("core: FreeBS.Merge of an estimates-only view: %w", ErrIncompatible)
 	}
 	if other.bits.Size() != f.bits.Size() {
 		return fmt.Errorf("core: FreeBS sizes %d vs %d: %w", f.bits.Size(), other.bits.Size(), ErrIncompatible)
@@ -169,6 +173,9 @@ func (f *FreeRS) Merge(other *FreeRS) error {
 	}
 	if other == f {
 		return fmt.Errorf("core: FreeRS.Merge with itself: %w", ErrIncompatible)
+	}
+	if !f.regs.HasWords() || !other.regs.HasWords() {
+		return fmt.Errorf("core: FreeRS.Merge of an estimates-only view: %w", ErrIncompatible)
 	}
 	if other.regs.Size() != f.regs.Size() || other.width != f.width {
 		return fmt.Errorf("core: FreeRS layouts %d×w%d vs %d×w%d: %w",

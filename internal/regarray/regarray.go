@@ -208,6 +208,26 @@ func (a *Array) Snapshot() *Array {
 	return &c
 }
 
+// Stats returns a statistics-only copy of a: the layout plus the maintained
+// zero count and harmonic sum, with no words. Every statistic (Size, Width,
+// ZeroCount, and in exact mode HarmonicSum and ChangeProbability) reads
+// exactly as on a at the time of the call, but the copy holds no registers,
+// so Get and UpdateMax on it panic and MarshalBinary, Clone and UnionWith
+// refuse it. Unlike Snapshot it leaves a's words unshared, so a's next
+// write pays no copy. The estimates-only views of the serving path carry
+// one of these.
+func (a *Array) Stats() *Array {
+	return &Array{size: a.size, width: a.width, maxVal: a.maxVal,
+		zeros: a.zeros, exact: a.exact, scaled: a.scaled}
+}
+
+// HasWords reports whether a holds its registers, false only for a Stats
+// copy.
+func (a *Array) HasWords() bool { return len(a.words) > 0 }
+
+// errStatsOnly is returned by the operations a Stats copy cannot serve.
+var errStatsOnly = errors.New("regarray: statistics-only copy holds no registers")
+
 // detach gives a a private copy of the backing words if a snapshot may still
 // alias them. Called before every register write.
 func (a *Array) detach() {
@@ -248,7 +268,13 @@ func (a *Array) Audit() error {
 }
 
 // Clone returns a deep copy (eager, unlike Snapshot's lazy copy-on-write).
+// It panics on a Stats copy, which has no registers to copy: a clone is a
+// mutable array, and one built from statistics alone would be a sketch
+// that silently forgot every register.
 func (a *Array) Clone() *Array {
+	if !a.HasWords() {
+		panic(errStatsOnly.Error())
+	}
 	w := make([]uint64, len(a.words))
 	copy(w, a.words)
 	return &Array{words: w, size: a.size, width: a.width, maxVal: a.maxVal,
@@ -261,6 +287,9 @@ func (a *Array) UnionWith(other *Array) error {
 	if other == nil || other.size != a.size || other.width != a.width {
 		return errors.New("regarray: union requires equal size and width")
 	}
+	if !a.HasWords() || !other.HasWords() {
+		return errStatsOnly
+	}
 	for i := 0; i < a.size; i++ {
 		a.UpdateMax(i, other.Get(i))
 	}
@@ -269,8 +298,12 @@ func (a *Array) UnionWith(other *Array) error {
 
 const marshalMagic = "RARR"
 
-// MarshalBinary serializes the array (magic, size, width, words).
+// MarshalBinary serializes the array (magic, size, width, words). It fails
+// on a Stats copy, whose serialization would restore as an all-zero array.
 func (a *Array) MarshalBinary() ([]byte, error) {
+	if !a.HasWords() {
+		return nil, errStatsOnly
+	}
 	out := make([]byte, 0, 4+8+1+8*len(a.words))
 	out = append(out, marshalMagic...)
 	out = binary.LittleEndian.AppendUint64(out, uint64(a.size))

@@ -85,3 +85,43 @@ func TestDetachOncePerSnapshot(t *testing.T) {
 }
 
 var sink any
+
+// TestStatsCopy: a Stats copy freezes the statistics, including the exact
+// harmonic sum, without sharing the words — the parent's next write stays
+// in place — and every operation that needs the words refuses it.
+func TestStatsCopy(t *testing.T) {
+	a := New(103, 5)
+	a.UpdateMax(0, 7)
+	a.UpdateMax(102, 31)
+	st := a.Stats()
+	if st.HasWords() || !a.HasWords() {
+		t.Fatal("HasWords: the Stats copy must have none, the parent its own")
+	}
+	if st.Size() != 103 || st.Width() != 5 || st.ZeroCount() != 101 ||
+		st.ScaledHarmonicSum() != a.ScaledHarmonicSum() || st.ChangeProbability() != a.ChangeProbability() {
+		t.Fatal("Stats copy statistics differ from the parent's")
+	}
+	wantScaled := st.ScaledHarmonicSum()
+	if a.shared {
+		t.Fatal("Stats marked the parent's words shared: its next write would copy them")
+	}
+	a.UpdateMax(2, 9)
+	if st.ZeroCount() != 101 || st.ScaledHarmonicSum() != wantScaled {
+		t.Fatal("a parent write moved the Stats copy's statistics")
+	}
+	if _, err := st.MarshalBinary(); err == nil {
+		t.Fatal("MarshalBinary of a Stats copy succeeded")
+	}
+	if err := a.UnionWith(st); err == nil {
+		t.Fatal("UnionWith from a Stats copy succeeded")
+	}
+	if err := st.UnionWith(a); err == nil {
+		t.Fatal("UnionWith into a Stats copy succeeded")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Clone of a Stats copy did not panic")
+		}
+	}()
+	st.Clone()
+}

@@ -35,12 +35,15 @@
 // built-in duplicate tolerance.
 //
 // Reads are snapshot-isolated: every query handler (/estimate, /total,
-// /topk, /users), the /metrics gauges, and the checkpoint writer serve
-// from the stack's atomically published frozen view
-// (streamcard.Sharded.Snapshot) instead of taking the sketch locks — a
-// stalled /users reader or a slow checkpoint fsync cannot hold any sketch
+// /topk, /users) and the /metrics gauges serve from the stack's atomically
+// published estimates-only view (streamcard.Sharded.Snapshot) instead of
+// taking the sketch locks — a stalled /users reader cannot hold any sketch
 // lock at all, and ingest throughput is unaffected by concurrent query
-// load (cmd/querybench measures exactly this). The write path — shard
+// load (cmd/querybench measures exactly this). The checkpoint writer and
+// the merged /total read the array words, which published views do not
+// carry: they take a full cut (streamcard.Sharded.FullSnapshot) that holds
+// the shard locks only while its O(1) forks are taken, so a slow
+// checkpoint fsync still holds no sketch lock. The write path — shard
 // executors and epoch rotation — is the only lock domain left: rotation
 // is a quiesce cut over the whole pipeline (the ingest gate excludes new
 // submissions, then the cut waits for every submitted batch to be fully
@@ -311,9 +314,10 @@ type Server struct {
 	// queues. Rotation then drains pending to zero before advancing the
 	// epoch: the cut that guarantees no batch is ever attributed astride an
 	// epoch boundary, even though its sub-batches absorb on different
-	// executors. Queries and checkpoints never touch the gate — they read
-	// the stack's published snapshot, which freezes one consistent epoch on
-	// its own.
+	// executors. Queries never touch the gate — they read the stack's
+	// published snapshot, which freezes one consistent epoch on its own —
+	// and checkpoints take it only with the WAL on, to pair their full cut
+	// with a log position.
 	gate   sync.RWMutex
 	closed bool
 	// pending counts batches submitted but not yet fully absorbed (queued
@@ -368,6 +372,7 @@ type Server struct {
 	batchesRefused *metrics.Counter
 	rotations      *metrics.Counter
 	checkpoints    *metrics.Counter
+	ckptFailures   *metrics.Counter
 	retiredGens    *metrics.Counter
 	retiredPairs   *metrics.Counter // Σ TotalDistinct of retired generations, rounded
 	walFsync       *metrics.Histogram
@@ -512,6 +517,8 @@ func (s *Server) initMetrics() {
 		"Epoch rotations fanned out across all shards.")
 	s.checkpoints = s.reg.Counter("cardserved_checkpoints_total", "",
 		"Checkpoints written to the spool.")
+	s.ckptFailures = s.reg.Counter("cardserved_checkpoint_failures_total", "",
+		"Checkpoints that failed, whether periodic, POST /checkpoint or shutdown.")
 	s.retiredGens = s.reg.Counter("cardserved_retired_generations_total", "",
 		"Generations aged out of the windows.")
 	s.retiredPairs = s.reg.Counter("cardserved_retired_pairs_total", "",
@@ -881,7 +888,8 @@ func (s *Server) checkpointLoop() {
 		case <-t.C:
 			if err := s.Checkpoint(); err != nil {
 				// A failed periodic checkpoint must not kill the service;
-				// the next interval (and shutdown) will retry.
+				// the next interval (and shutdown) will retry. Checkpoint
+				// has already counted the failure.
 				fmt.Fprintf(os.Stderr, "cardserved: checkpoint: %v\n", err)
 			}
 		case <-s.stopTicker:
@@ -891,25 +899,31 @@ func (s *Server) checkpointLoop() {
 }
 
 // view returns the stack's current published snapshot: one epoch-consistent
-// frozen cut across every shard. All query handlers, gauges, and the
-// checkpoint writer read from it; none of them take any sketch lock.
+// estimates-only cut across every shard. All query handlers and gauges read
+// from it; none of them take any sketch lock. (The merged /total and the
+// checkpoint writer need the array words and take a full cut instead.)
 func (s *Server) view() *streamcard.ShardedView {
 	return s.sh.Snapshot() // never nil: the stack is Windowed(FreeBS|FreeRS)
 }
 
-// Checkpoint freezes the full windowed state of every shard from the
-// published snapshot (an epoch-consistent cut; each shard a valid frozen
-// prefix of its own sub-stream) and writes it atomically to the spool.
-// Without a WAL, no sketch lock is held at any point — neither for the
-// marshal nor for the disk write — so a slow fsync cannot stall ingest or
-// rotation. No-op without a spool directory. Checkpoints are serialized by
-// ckptMu so two concurrent calls (POST /checkpoint vs the periodic ticker)
-// cannot rename out of order and leave the older snapshot as current.ckpt.
+// Checkpoint freezes the full windowed state of every shard from a
+// Sharded.FullSnapshot cut (one epoch; each shard a valid frozen prefix of
+// its own sub-stream, arrays included) and writes it atomically to the
+// spool. Without a WAL, the cut holds every shard lock only while the O(1)
+// copy-on-write forks are taken, so it waits at most for the absorbs in
+// flight; the marshal and the disk write run with no sketch lock held, so
+// a slow fsync cannot stall ingest or rotation. Each shard's next write
+// then pays one copy of its current generation's array — once per
+// checkpoint, not per batch. No-op without a spool directory. Checkpoints
+// are serialized by ckptMu so two concurrent calls (POST /checkpoint vs the
+// periodic ticker) cannot rename out of order and leave the older snapshot
+// as current.ckpt. Every failure, from any caller, counts into
+// cardserved_checkpoint_failures_total.
 //
 // With the WAL on, the checkpoint is also a log truncation point, which
 // needs an exact (state, WAL position) pair: the cut briefly quiesces the
 // pipeline (exclusive gate + drain — the same cut rotation pays, at
-// checkpoint cadence) to capture the snapshot and the log sequence it
+// checkpoint cadence) to capture the full cut and the log sequence it
 // corresponds to, then marshals and writes OUTSIDE the lock as before.
 // Only after the spool write succeeds are the log's fully-covered segments
 // deleted — a crash between the two leaves extra replayable records below
@@ -919,6 +933,16 @@ func (s *Server) Checkpoint() error {
 	if s.cfg.SpoolDir == "" {
 		return nil
 	}
+	if err := s.checkpoint(); err != nil {
+		s.ckptFailures.Inc()
+		return err
+	}
+	s.checkpoints.Inc()
+	return nil
+}
+
+// checkpoint is Checkpoint's body: cut, marshal, write, truncate.
+func (s *Server) checkpoint() error {
 	s.ckptMu.Lock()
 	defer s.ckptMu.Unlock()
 	var (
@@ -931,10 +955,10 @@ func (s *Server) Checkpoint() error {
 		s.Drain()
 		walSeq = s.wal.LastSeq()
 		epochEdges = s.epochEdges
-		view = s.view()
+		view = s.sh.FullSnapshot()
 		s.gate.Unlock()
 	} else {
-		view = s.view()
+		view = s.sh.FullSnapshot()
 	}
 	data, err := s.marshalSpool(view, walSeq, epochEdges)
 	if err != nil {
@@ -950,7 +974,6 @@ func (s *Server) Checkpoint() error {
 			fmt.Fprintf(os.Stderr, "cardserved: wal truncate: %v\n", err)
 		}
 	}
-	s.checkpoints.Inc()
 	return nil
 }
 
@@ -1275,12 +1298,15 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 // sub-millisecond under load. ?method=merged requests the union reading
 // instead: the shard sketches merged register-by-register into one sketch
 // (lower variance, since shared-seed shards overlap coherently), a fold
-// over every live generation that costs milliseconds at serving sizes —
-// cached on the snapshot, so repeated merged totals over an unchanged
-// stack merge once. When the shards cannot merge (distinct seeds, drifted
-// epochs) the merged request falls back to the sum and says so in
-// "method"; an unknown method is a 400. The reported epoch is exactly the
-// epoch the total was computed over.
+// over every live generation that costs milliseconds at serving sizes.
+// The published snapshot carries no array words, so the merge runs on a
+// full cut (Sharded.FullSnapshot) taken at the first merged request
+// against the snapshot and is cached on it, so repeated merged totals over
+// an unchanged stack cut and merge once. When the shards cannot merge
+// (distinct seeds, drifted epochs) the merged request falls back to the
+// sum and says so in "method"; an unknown method is a 400. The reported
+// epoch is the snapshot's: exactly the summed total's epoch, while a
+// rotation racing a merged request can put its full cut one epoch later.
 func (s *Server) handleTotal(w http.ResponseWriter, r *http.Request) {
 	method := r.URL.Query().Get("method")
 	if method == "" {

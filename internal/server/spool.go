@@ -79,10 +79,11 @@ func methodByte(method string) byte {
 	return 'R'
 }
 
-// marshalSpool serializes the full service state from a published snapshot
-// view: an epoch-consistent frozen cut, so no sketch lock is needed while
-// the (potentially large) payloads are marshaled. Shard order in the view
-// matches s.wins by construction (NewSharded consumed the builds in order).
+// marshalSpool serializes the full service state from a full cut
+// (Sharded.FullSnapshot): an epoch-consistent frozen cut that keeps the
+// array words, so no sketch lock is needed while the (potentially large)
+// payloads are marshaled. Shard order in the view matches s.wins by
+// construction (NewSharded consumed the builds in order).
 // walSeq/epochEdges tie the snapshot to a WAL position (both 0 when the
 // WAL is off); with the WAL on, the caller captured view and position
 // under one quiesce cut so they describe the same instant.

@@ -297,3 +297,45 @@ func TestServerUsersStreaming(t *testing.T) {
 		t.Fatalf("limit=0: entries=%d count=%d truncated=%v", len(zero.Users), zero.Count, zero.Truncated)
 	}
 }
+
+// TestCheckpointFailureCounted: a checkpoint that cannot be written is
+// refused loudly — POST /checkpoint answers 500 — and counted in
+// cardserved_checkpoint_failures_total, while cardserved_checkpoints_total
+// keeps counting only checkpoints that landed. The spool directory is
+// swapped for a regular file after New, so every write under it fails.
+func TestCheckpointFailureCounted(t *testing.T) {
+	spool := filepath.Join(t.TempDir(), "spool")
+	s, ts := newTestServer(t, testConfig(spool))
+	ingest(t, ts.URL, zipfEdges(3, 2000, 50, 200), true)
+	if code, body := post(t, ts.URL+"/checkpoint", ""); code != http.StatusOK {
+		t.Fatalf("healthy checkpoint returned %d: %s", code, body)
+	}
+	landed := scrapeCounter(t, ts.URL, "cardserved_checkpoints_total")
+	if landed != 1 || scrapeCounter(t, ts.URL, "cardserved_checkpoint_failures_total") != 0 {
+		t.Fatalf("after one good checkpoint: %d landed, want 1 and no failures", landed)
+	}
+
+	if err := os.RemoveAll(spool); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(spool, []byte("not a directory"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if code, body := post(t, ts.URL+"/checkpoint", ""); code != http.StatusInternalServerError {
+		t.Fatalf("checkpoint into a non-directory spool returned %d: %s", code, body)
+	}
+	if got := scrapeCounter(t, ts.URL, "cardserved_checkpoint_failures_total"); got != 1 {
+		t.Fatalf("cardserved_checkpoint_failures_total = %d, want 1", got)
+	}
+	if got := scrapeCounter(t, ts.URL, "cardserved_checkpoints_total"); got != landed {
+		t.Fatalf("cardserved_checkpoints_total moved from %d to %d on a failed checkpoint", landed, got)
+	}
+	// The shutdown checkpoint fails the same way, is counted, and surfaces
+	// as Close's error.
+	if err := s.Close(); err == nil {
+		t.Fatal("Close reported success although its final checkpoint could not be written")
+	}
+	if got := s.ckptFailures.Value(); got != 2 {
+		t.Fatalf("after the failed shutdown checkpoint: %d failures, want 2", got)
+	}
+}

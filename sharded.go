@@ -25,14 +25,16 @@ import (
 //
 // Reads are snapshot-isolated: when the shard estimators support
 // copy-on-write snapshots (FreeBS, FreeRS, Windowed over either), every
-// query method is served from an atomically published, epoch-consistent
-// frozen view (see Snapshot and ShardedView in snapshot.go), so queries,
-// user enumerations, top-k scans, and checkpoints never hold the shard
+// query method is served from an atomically published, epoch-consistent,
+// estimates-only frozen view (see Snapshot and ShardedView in snapshot.go),
+// so queries, user enumerations and top-k scans never hold the shard
 // locks — the write path (Observe/ObserveBatch/Rotate) is the only lock
 // domain, and once a reader exists it also publishes each shard's fresh
 // snapshot as it releases the lock, so queries stay fast (atomic loads)
-// even while large batches are absorbing. Other estimator types fall back
-// to the locked read paths.
+// even while large batches are absorbing. Checkpoints and the merged total
+// read the array words, which published views do not carry; they take a
+// FullSnapshot cut, which briefly holds every shard lock. Other estimator
+// types fall back to the locked read paths.
 type Sharded struct {
 	shards []shard
 	seed   uint64
@@ -59,7 +61,7 @@ type Sharded struct {
 	// rebuilt incrementally by Snapshot.
 	set atomic.Pointer[ShardedView]
 	// rotMu serializes whole rotation fan-outs against the fully locked
-	// snapshot cut (collectLocked), so an all-locks view can never
+	// snapshot cut (lockedCut), so an all-locks view can never
 	// interleave a rotation and both sides stay deadlock-free by taking
 	// rotMu before any shard lock. The ingest paths never touch it.
 	rotMu sync.Mutex
@@ -121,10 +123,11 @@ func (s *Sharded) ShardIndex(user uint64) int {
 // Observe implements Estimator; safe for concurrent use. Once a reader has
 // armed publication, the write publishes the shard's fresh snapshot before
 // releasing the lock, so concurrent queries never wait on the write path.
-// Note that per-edge Observe on a stack that is being queried makes the
-// shard's arrays copy-on-write once per edge — the next write pays the
-// detach copy — so hot served stacks should ingest through ObserveBatch,
-// which amortizes one publication (and one detach) over the whole batch.
+// Publication forks only the per-user table, never the shared array, but
+// per-edge Observe on a stack that is being queried still makes that table
+// copy-on-write once per edge — the next write pays the detach copy — so
+// hot served stacks should ingest through ObserveBatch, which amortizes one
+// publication (and one detach) over the whole batch.
 func (s *Sharded) Observe(user, item uint64) {
 	sh := s.shardFor(user)
 	sh.mu.Lock()
@@ -251,96 +254,27 @@ func (s *Sharded) MemoryBits() int64 {
 // needs no compatibility. Windowed shards additionally require every shard
 // to sit at the same epoch (ErrIncompatible otherwise), which Rotate
 // guarantees as long as rotations go through it. Safe for concurrent use.
-// When snapshots are available the merge runs on the published frozen view
-// with no shard lock held, and the result is cached on that view until the
-// next write publishes a fresh one — repeated totals over an unchanged
-// stack pay a single merge.
+// The merge runs on a FullSnapshot cut — it holds the rotation mutex and
+// every shard lock only while the O(1) forks are taken, never during the
+// merge — and the result is cached on the published view until the next
+// write publishes a fresh one, so repeated totals over an unchanged stack
+// pay a single cut and merge.
 func (s *Sharded) TotalDistinctMerged() (float64, error) {
 	if v := s.Snapshot(); v != nil {
 		return v.TotalDistinctMerged()
 	}
-	switch s.shards[0].est.(type) {
-	case *FreeBS:
-		return mergeShards(s, func(e Estimator) (*FreeBS, bool) { f, ok := e.(*FreeBS); return f, ok })
-	case *FreeRS:
-		return mergeShards(s, func(e Estimator) (*FreeRS, bool) { f, ok := e.(*FreeRS); return f, ok })
-	case *Windowed:
-		return mergeWindowedShards(s)
-	default:
-		return 0, fmt.Errorf("streamcard: %s shards are not mergeable: %w",
-			s.shards[0].est.Name(), ErrIncompatible)
-	}
+	// Every mergeable shard type also snapshots, so a stack without
+	// snapshots has a shard that cannot merge.
+	return 0, fmt.Errorf("streamcard: %s: not every shard is mergeable: %w", s.name, ErrIncompatible)
 }
 
 // mergeable is the self-referential merge surface both FreeBS and FreeRS
-// expose; mergeShards is generic over it so the clone-then-fold aggregation
-// is written once.
+// expose; mergeViewsTyped and mergeGen are generic over it so the
+// clone-then-fold aggregation is written once.
 type mergeable[T any] interface {
 	Merge(T) error
 	Clone() T
 	TotalDistinct() float64
-}
-
-// mergeWindowedShards is the Windowed variant of mergeShards: same
-// clone-then-fold shape, but folding in place with foldFrom rather than
-// through Windowed.Merge, whose per-fold atomicity would re-clone every
-// generation of the accumulator once per shard — the accumulator here is
-// private, so a failed fold just discards it. At most one shard lock is
-// held at a time; a rotation racing between shards makes epochs mismatch,
-// which reports ErrIncompatible (callers fall back to TotalDistinct).
-func mergeWindowedShards(s *Sharded) (float64, error) {
-	var combined *Windowed
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		w, ok := sh.est.(*Windowed)
-		var err error
-		if ok {
-			if i == 0 {
-				combined = w.Clone()
-			} else {
-				err = combined.foldFrom(w)
-			}
-		}
-		sh.mu.Unlock()
-		if !ok {
-			return 0, fmt.Errorf("streamcard: shard %d is not *Windowed: %w", i, ErrIncompatible)
-		}
-		if err != nil {
-			return 0, err
-		}
-	}
-	return combined.TotalDistinct(), nil
-}
-
-// mergeShards clones shard 0's estimator and folds every other shard in,
-// holding at most one shard lock at a time. cast narrows the interface-typed
-// shard estimator to the concrete mergeable type (failing when shards mix
-// types, which NewSharded's single build function cannot produce but the
-// aggregation refuses to assume).
-func mergeShards[T mergeable[T]](s *Sharded, cast func(Estimator) (T, bool)) (float64, error) {
-	var combined T
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		est, ok := cast(sh.est)
-		var err error
-		if ok {
-			if i == 0 {
-				combined = est.Clone()
-			} else {
-				err = combined.Merge(est)
-			}
-		}
-		sh.mu.Unlock()
-		if !ok {
-			return 0, fmt.Errorf("streamcard: shard %d is not %T: %w", i, combined, ErrIncompatible)
-		}
-		if err != nil {
-			return 0, err
-		}
-	}
-	return combined.TotalDistinct(), nil
 }
 
 // Users implements AnytimeEstimator: fn is called once per user with a

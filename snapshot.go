@@ -1,8 +1,8 @@
 package streamcard
 
 // The sharded read path. Every query surface of Sharded — Estimate, totals,
-// user enumeration, top-k, checkpointing — is served from a ShardedView: a
-// set of per-shard frozen snapshots published through atomic pointers and
+// user enumeration, top-k — is served from a ShardedView: a set of
+// per-shard frozen snapshots published through atomic pointers and
 // assembled into one epoch-consistent cut. Queries never hold the shard
 // locks: the write path (Observe, ObserveBatch, Rotate) publishes each
 // shard's fresh snapshot as it releases the shard lock, so view assembly is
@@ -16,6 +16,13 @@ package streamcard
 // immutable snapshots so reads never stall writes — and it makes the write
 // path the only lock domain in the stack.
 //
+// Published snapshots are estimates-only (Snapshotter): each shard's
+// per-user table forked copy-on-write plus its array's maintained
+// statistics, never the array words, so publishing on every write costs
+// the writer no array copy. The two readers of array words — checkpoints
+// and the merged union total — take FullSnapshot, an unpublished cut of
+// full copy-on-write forks, at their own cadence.
+//
 // Consistency: a view's shards are always each a valid frozen prefix of
 // their own sub-stream (users partition across shards, so there is no
 // cross-shard ordering to tear), and when the shards are windowed the view
@@ -26,8 +33,7 @@ package streamcard
 // microseconds but can never leak a torn pre/post-rotation mix into it.
 // Stacks whose shards rotate themselves independently (per-shard ByEdges /
 // ByDuration boundaries) have no common epoch to freeze; their views are
-// marked epoch-inconsistent and the merged total reports ErrIncompatible,
-// exactly as the locked aggregation always has for such stacks.
+// marked epoch-inconsistent and the merged total reports ErrIncompatible.
 
 import (
 	"fmt"
@@ -73,10 +79,12 @@ func estSnapshottable(e Estimator) bool {
 	return false
 }
 
-// publishLocked refreshes the shard's published snapshot. Caller holds
-// sh.mu; the shard estimator must be snapshottable. It is called by the
-// write path as it releases the lock (so readers find a fresh snapshot
-// waiting) and by shardView's fallback for snapshots staled out of band.
+// publishLocked refreshes the shard's published snapshot, an
+// estimates-only view (Snapshotter): publishing it never makes the next
+// write copy the shard's array. Caller holds sh.mu; the shard estimator
+// must be snapshottable. It is called by the write path as it releases the
+// lock (so readers find a fresh snapshot waiting) and by shardView's
+// fallback for snapshots staled out of band.
 func (sh *shard) publishLocked() *shardSnap {
 	if p := sh.snap.Load(); p != nil && p.ver == sh.ver.Load() && p.srcFresh() {
 		return p // already current — nothing was written since
@@ -88,13 +96,21 @@ func (sh *shard) publishLocked() *shardSnap {
 		// makes the stamp stale, which is the safe direction.
 		src, srcVer = w, w.ring.Version()
 	}
-	view := sh.est.(Snapshotter).SnapshotView()
-	p := &shardSnap{view: view, ver: sh.ver.Load(), src: src, srcVer: srcVer}
+	p := sh.snapLocked(sh.est.(Snapshotter).SnapshotView())
+	p.src, p.srcVer = src, srcVer
+	sh.snap.Store(p)
+	return p
+}
+
+// snapLocked stamps a frozen fork of the shard with the shard's version
+// and, when the shard is windowed, the epoch the fork froze. Caller holds
+// sh.mu.
+func (sh *shard) snapLocked(view Estimator) *shardSnap {
+	p := &shardSnap{view: view, ver: sh.ver.Load()}
 	if w, ok := view.(*Windowed); ok {
 		p.epoch = uint64(w.Epoch())
 		p.windowed = true
 	}
-	sh.snap.Store(p)
 	return p
 }
 
@@ -105,8 +121,8 @@ func (sh *shard) publishLocked() *shardSnap {
 // went stale without a publication — a shard written before any reader
 // armed publication (Sharded.Snapshot arms it on first use), or a windowed
 // shard mutated out of band (srcFresh) — and costs one brief lock hold; the
-// snapshot itself is an O(1) copy-on-write fork either way, with the writer
-// paying the lazy array copy on its next write.
+// snapshot itself is an O(1) estimates-only fork either way, with the writer
+// paying the lazy per-user table copy on its next write.
 func (s *Sharded) shardView(i int) *shardSnap {
 	sh := &s.shards[i]
 	if p := sh.snap.Load(); p != nil && p.ver == sh.ver.Load() && p.srcFresh() {
@@ -121,7 +137,8 @@ func (s *Sharded) shardView(i int) *shardSnap {
 // unit all sharded queries are answered from. It implements the full read
 // side of AnytimeEstimator/UserRanger (the mutating methods panic), so it
 // drops into TopK, SpreaderDetector, and the HTTP handlers unchanged.
-// Reads of a view are lock-free and safe from any number of goroutines.
+// Reads of a view are safe from any number of goroutines and, except for
+// TotalDistinctMerged's one full cut, lock-free.
 type ShardedView struct {
 	parent *Sharded
 	views  []Estimator
@@ -274,14 +291,13 @@ func (s *Sharded) collect() (v *ShardedView, ok bool) {
 	return v, v.consistent
 }
 
-// collectLocked assembles a view under the rotation mutex plus every shard
+// lockedCut assembles a view under the rotation mutex plus every shard
 // lock (ascending order — no other path holds two shard locks, so this
-// cannot deadlock): with rotations excluded, a lockstep stack always yields
-// one consistent epoch. Only independently self-rotating shards can still
-// disagree here, and then the view is marked settled: truthfully
-// inconsistent with nothing to wait for, so later reads of the unchanged
-// stack reuse it instead of re-escalating.
-func (s *Sharded) collectLocked() *ShardedView {
+// cannot deadlock), with get called under those locks: with rotations
+// excluded, a lockstep stack always yields one consistent epoch. It is the
+// cut behind both collectLocked and FullSnapshot, and waits at most for the
+// absorbs in flight.
+func (s *Sharded) lockedCut(get func(sh *shard) *shardSnap) *ShardedView {
 	s.rotMu.Lock()
 	defer s.rotMu.Unlock()
 	for i := range s.shards {
@@ -292,18 +308,45 @@ func (s *Sharded) collectLocked() *ShardedView {
 			s.shards[i].mu.Unlock()
 		}
 	}()
-	v := s.assemble(func(i int) *shardSnap { return s.shards[i].publishLocked() })
+	return s.assemble(func(i int) *shardSnap { return get(&s.shards[i]) })
+}
+
+// collectLocked assembles a published view through lockedCut. Only
+// independently self-rotating shards can still disagree on the epoch here,
+// and then the view is marked settled: truthfully inconsistent with nothing
+// to wait for, so later reads of the unchanged stack reuse it instead of
+// re-escalating.
+func (s *Sharded) collectLocked() *ShardedView {
+	v := s.lockedCut((*shard).publishLocked)
 	if !v.consistent {
 		v.settled = true
 	}
 	return v
 }
 
+// FullSnapshot returns an unpublished cut across every shard whose forks
+// keep their array words — each shard's full copy-on-write Snapshot — or
+// nil when the shard estimators do not support snapshots. Published views
+// (Snapshot) are estimates-only; the two readers of array words take this
+// cut instead: a checkpoint, which serializes the arrays, and
+// ShardedView.TotalDistinctMerged, which unions them. The cut runs under
+// the rotation mutex and every shard lock, so it waits at most for the
+// absorbs in flight and always freezes one epoch on a lockstep stack. Each
+// shard then pays one array copy, on its next write to the current
+// generation; take the cut at checkpoint cadence, not per query.
+func (s *Sharded) FullSnapshot() *ShardedView {
+	if !s.snapshottable {
+		return nil
+	}
+	return s.lockedCut(func(sh *shard) *shardSnap { return sh.snapLocked(forkFull(sh.est)) })
+}
+
 // NumShards returns the number of per-shard views.
 func (v *ShardedView) NumShards() int { return len(v.views) }
 
-// ShardView returns shard i's frozen estimator — the checkpoint writer
-// serializes these in shard order. Treat it as read-only.
+// ShardView returns shard i's frozen estimator — on a FullSnapshot cut, the
+// checkpoint writer serializes these in shard order. A published view's
+// are estimates-only (see Snapshotter). Treat it as read-only.
 func (v *ShardedView) ShardView(i int) Estimator { return v.views[i] }
 
 // Epoch returns the window epoch this view froze (0 for non-windowed
@@ -408,29 +451,35 @@ func (v *ShardedView) NumUsers() int {
 	return total
 }
 
-// TotalDistinctMerged merges the frozen shard sketches into one union
-// sketch and returns its array-derived total — the low-variance reading
-// TotalDistinctMerged on the Sharded serves. The merge runs entirely on the
-// frozen views (no shard lock is ever taken) and the result is cached on
-// the view: as long as no shard is written, repeated calls pay one merge
-// total. Requirements are unchanged: identically built shards (shared
-// seed), and for windowed shards one common epoch — a view of an
-// epoch-inconsistent stack reports ErrIncompatible, as the locked
-// aggregation did.
+// TotalDistinctMerged merges the shard sketches into one union sketch and
+// returns its array-derived total — the low-variance reading
+// TotalDistinctMerged on the Sharded serves. A published view holds no
+// array words, so the first call merges a FullSnapshot cut of the parent
+// taken then: at least as fresh as the view, it may include writes that
+// landed after the view was published. The result is cached on the view:
+// as long as no shard is written, repeated calls pay one cut and one merge
+// in total. Taking the cut holds the rotation mutex and every shard lock
+// briefly, so the call must not run under them (a WithOnRetire hook).
+// Requirements are unchanged: identically built shards (shared seed), and
+// for windowed shards one common epoch — an epoch-inconsistent view or cut
+// reports ErrIncompatible.
 func (v *ShardedView) TotalDistinctMerged() (float64, error) {
 	v.mergedOnce.Do(func() {
-		if v.windowed && !v.consistent {
+		cut := v
+		if v.EpochConsistent() {
+			cut = v.parent.FullSnapshot()
+		}
+		if !cut.EpochConsistent() {
 			v.mergedErr = fmt.Errorf("streamcard: shards at different epochs: %w", ErrIncompatible)
 			return
 		}
-		v.merged, v.mergedErr = mergeEstimators(v.views)
+		v.merged, v.mergedErr = mergeEstimators(cut.views)
 	})
 	return v.merged, v.mergedErr
 }
 
-// mergeEstimators clones the first estimator and folds the rest in — the
-// same clone-then-fold aggregation as the locked shard merge, over an
-// already frozen slice.
+// mergeEstimators clones the first estimator and folds the rest in, over
+// an already frozen slice of full forks.
 func mergeEstimators(views []Estimator) (float64, error) {
 	switch views[0].(type) {
 	case *FreeBS:
@@ -445,8 +494,8 @@ func mergeEstimators(views []Estimator) (float64, error) {
 	}
 }
 
-// mergeViewsTyped is mergeShards' frozen-slice twin: no locks, same
-// clone-then-fold shape, generic over the shared mergeable constraint.
+// mergeViewsTyped clones the first view and folds the rest in, generic
+// over the shared mergeable constraint.
 func mergeViewsTyped[T mergeable[T]](views []Estimator, cast func(Estimator) (T, bool)) (float64, error) {
 	var combined T
 	for i, e := range views {

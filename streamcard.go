@@ -100,12 +100,16 @@ type AnytimeEstimator interface {
 
 // Snapshotter is the read side of the snapshot-isolated serving
 // architecture: estimators that can produce an O(1), logically frozen,
-// read-only view of their current state. Reads of the view — Estimate,
-// TotalDistinct, Users, TopK, MarshalBinary — need no synchronization with
-// ongoing ingestion, because the view shares its backing arrays with the
-// live estimator copy-on-write: the writer detaches onto private arrays
-// before its first post-snapshot write, so a long enumeration or a slow
-// checkpoint never holds the sketch locks.
+// read-only view of their current state. The view is estimates-only: it
+// shares the per-user estimate table copy-on-write and keeps the shared
+// array's maintained statistics (zero count, harmonic sum) but not its
+// words, so taking it never makes the writer copy the array. Reads of the
+// view — Estimate, TotalDistinct, Users, NumUsers, TopK — need no
+// synchronization with ongoing ingestion and equal a full snapshot's bit
+// for bit. What reads the array words refuses the view: MarshalBinary
+// returns an error, Merge from the view reports ErrIncompatible, and Clone
+// panics. Checkpoints and merged totals take a
+// full cut instead (FreeBS/FreeRS Snapshot, Sharded.FullSnapshot).
 //
 // FreeBS, FreeRS, and Windowed over either implement it (Sharded publishes
 // whole snapshot sets through its own Snapshot method). A Windowed over a
@@ -113,11 +117,11 @@ type AnytimeEstimator interface {
 // returns nil from SnapshotView, and callers fall back to locked reads.
 type Snapshotter interface {
 	Estimator
-	// SnapshotView returns a frozen read-only view of the current state, or
-	// nil if the estimator's composition cannot produce one. The call must
-	// be serialized with writers (it is O(1), so callers take it under the
-	// same lock that guards Observe); reads of the returned view are then
-	// lock-free.
+	// SnapshotView returns a frozen estimates-only view of the current
+	// state, or nil if the estimator's composition cannot produce one. The
+	// call must be serialized with writers (it is O(1), so callers take it
+	// under the same lock that guards Observe); reads of the returned view
+	// are then lock-free.
 	SnapshotView() Estimator
 }
 
@@ -230,8 +234,10 @@ func (f *FreeBS) Clone() *FreeBS { return &FreeBS{inner: f.inner.Clone()} }
 // then lock-free.
 func (f *FreeBS) Snapshot() *FreeBS { return &FreeBS{inner: f.inner.Snapshot()} }
 
-// SnapshotView implements Snapshotter.
-func (f *FreeBS) SnapshotView() Estimator { return f.Snapshot() }
+// SnapshotView implements Snapshotter with an estimates-only fork: unlike
+// Snapshot, it leaves the bit array unshared, so f's next write pays no
+// array copy.
+func (f *FreeBS) SnapshotView() Estimator { return &FreeBS{inner: f.inner.SnapshotEstimates()} }
 
 // Estimate implements Estimator.
 func (f *FreeBS) Estimate(user uint64) float64 { return f.inner.Estimate(user) }
@@ -301,8 +307,9 @@ func (f *FreeRS) Clone() *FreeRS { return &FreeRS{inner: f.inner.Clone()} }
 // current state; see FreeBS.Snapshot for the contract.
 func (f *FreeRS) Snapshot() *FreeRS { return &FreeRS{inner: f.inner.Snapshot()} }
 
-// SnapshotView implements Snapshotter.
-func (f *FreeRS) SnapshotView() Estimator { return f.Snapshot() }
+// SnapshotView implements Snapshotter with an estimates-only fork; see
+// FreeBS.SnapshotView.
+func (f *FreeRS) SnapshotView() Estimator { return &FreeRS{inner: f.inner.SnapshotEstimates()} }
 
 // Estimate implements Estimator.
 func (f *FreeRS) Estimate(user uint64) float64 { return f.inner.Estimate(user) }

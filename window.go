@@ -39,12 +39,12 @@ import (
 //
 // The write path is the only lock domain: when the underlying estimator is
 // FreeBS or FreeRS, every read (Estimate, TotalDistinct, Users, NumUsers,
-// TopK over the window) is served from an atomically published snapshot —
-// all live generations forked copy-on-write, logically frozen as one
-// consistent (generations, epoch) cut — so a long user enumeration never
-// holds the ring lock, and a rotation publishes the next epoch's snapshot
-// set instead of quiescing readers. See Snapshot for the mechanism and the
-// freshness contract.
+// TopK over the window) is served from an atomically published
+// estimates-only snapshot — every live generation's per-user table forked
+// copy-on-write, logically frozen as one consistent (generations, epoch)
+// cut — so a long user enumeration never holds the ring lock, and a
+// rotation publishes the next epoch's snapshot set instead of quiescing
+// readers. See Snapshot for the mechanism and the freshness contract.
 //
 // When the underlying estimator is FreeBS or FreeRS, Windowed additionally
 // supports Users/NumUsers (so TopK and SpreaderDetector run on windows),
@@ -69,11 +69,11 @@ type Windowed struct {
 	// reads on views resolve in one hop.
 	pub atomic.Pointer[windowedPub]
 
-	// frozen marks a view built by Snapshot: its ring never moves again, so
-	// the cross-generation user fold can be computed once and cached below.
-	// Clone assembles a Windowed from existing generations through the same
-	// adoptWindowed path but returns a mutable window, so the marker is set
-	// only where Snapshot constructs the view.
+	// frozen marks a view built by Snapshot or fullSnapshot: its ring never
+	// moves again, so the cross-generation user fold can be computed once
+	// and cached below. Clone assembles a Windowed from existing generations
+	// through the same adoptWindowed path but returns a mutable window, so
+	// the marker is set only where freeze constructs a view.
 	frozen bool
 	// foldOnce/fold cache userSums on frozen views: computed at most once
 	// per published view and served to every later analytics read of that
@@ -201,17 +201,27 @@ func genSnapshottable(e Estimator) bool {
 	return false
 }
 
-// snapshotGen forks one generation copy-on-write. Callers have checked
-// genSnapshottable.
-func snapshotGen(e Estimator) Estimator {
-	switch g := e.(type) {
+// forkFull returns a full copy-on-write fork of a snapshottable estimator
+// (FreeBS, FreeRS, or a Windowed over either). Unlike SnapshotView's
+// estimates-only view it keeps the array words, so MarshalBinary and Merge
+// work on it, and the writer pays one array copy on its next write. It
+// backs the full cuts that checkpoints and merged totals read
+// (Sharded.FullSnapshot). Callers have checked snapshottability.
+func forkFull(e Estimator) Estimator {
+	switch t := e.(type) {
 	case *FreeBS:
-		return g.Snapshot()
+		return t.Snapshot()
 	case *FreeRS:
-		return g.Snapshot()
+		return t.Snapshot()
+	case *Windowed:
+		return t.fullSnapshot()
 	}
-	panic(fmt.Sprintf("streamcard: %s generations do not support Snapshot", e.Name()))
+	panic(fmt.Sprintf("streamcard: %s does not support snapshots", e.Name()))
 }
+
+// forkView returns a generation's estimates-only view (Snapshotter). Callers
+// have checked genSnapshottable.
+func forkView(e Estimator) Estimator { return e.(Snapshotter).SnapshotView() }
 
 // adoptWindowed assembles a Windowed directly around existing generations —
 // no throwaway initial generation is built — at the given epoch
@@ -229,15 +239,20 @@ func adoptWindowed(build func() Estimator, cfg windowedConfig, name string, gens
 	return w, nil
 }
 
-// Snapshot returns an O(1), logically frozen view of the whole window — all
-// live generations forked copy-on-write, plus the epoch bookkeeping — or
+// Snapshot returns an O(1), logically frozen, estimates-only view of the
+// whole window — every live generation's per-user table forked
+// copy-on-write plus its array statistics, and the epoch bookkeeping — or
 // nil when the underlying estimator does not support snapshots (CSE, vHLL,
-// per-user baselines). The view is itself a *Windowed, so every read
-// surface (Estimate, TotalDistinct, Users, TopK, MarshalBinary, Merge
-// sources) works on it unchanged, with no synchronization against ongoing
-// ingestion: the writer detaches onto private arrays before its first
-// post-snapshot write, and old generations are never written at all, so
-// only the current generation's arrays are ever re-copied.
+// per-user baselines). The view is itself a *Windowed, so every estimate
+// read (Estimate, TotalDistinct, Users, RangeUsers, NumUsers, TopK) works
+// on it unchanged and equals the live window's at the same instant bit for
+// bit, with no synchronization against ongoing ingestion. The view carries
+// no array words (see Snapshotter): MarshalBinary on it returns an error,
+// Merge from it reports ErrIncompatible, and Clone panics.
+// Checkpoint and merge the live Windowed instead, or a
+// Sharded.FullSnapshot cut. Taking the view leaves the arrays unshared, so
+// the writer's next write pays at most a copy of the current generation's
+// per-user table, never of its array.
 //
 // Snapshots are published: while no write has advanced the ring, repeated
 // calls return the same view via one atomic load, and a view taken after a
@@ -262,38 +277,67 @@ func (w *Windowed) Snapshot() *Windowed {
 	}
 	var (
 		frozen *Windowed
-		ver    uint64
 		err    error
 	)
 	w.ring.ViewStamped(func(gens []Estimator, epoch, edges, v uint64) {
 		// Re-check under the lock: a concurrent reader may have already
 		// rebuilt the view for this exact version while we waited.
 		if p := w.pub.Load(); p != nil && p.ver == v {
-			frozen, ver = p.win, v
+			frozen = p.win
 			return
 		}
-		snaps := make([]Estimator, len(gens))
-		for i, g := range gens {
-			snaps[i] = snapshotGen(g)
-		}
-		ver = v
-		frozen, err = adoptWindowed(w.build, w.cfg, w.name, snaps, epoch, edges)
+		frozen, err = w.freeze(gens, epoch, edges, forkView)
 		if err == nil {
-			// Mark the view frozen before publishing it: its ring never
-			// moves again, which is what licenses the per-view fold cache
-			// (userSums). Publication's atomic store orders the write.
-			frozen.frozen = true
-			// A view answers Snapshot with itself (its ring never moves),
-			// so reads routed through Snapshot resolve in one hop on
-			// views.
-			frozen.pub.Store(&windowedPub{win: frozen, ver: frozen.ring.Version()})
-			w.pub.Store(&windowedPub{win: frozen, ver: ver})
+			w.pub.Store(&windowedPub{win: frozen, ver: v})
 		}
 	})
 	if err != nil {
 		panic(fmt.Sprintf("streamcard: Windowed.Snapshot: %v", err)) // ring invariants guarantee this cannot happen
 	}
 	return frozen
+}
+
+// fullSnapshot is Snapshot's full twin: every live generation forked
+// copy-on-write with its array words (FreeBS/FreeRS Snapshot), so
+// MarshalBinary and merges work on it. It is never published: each call
+// marks the generations' arrays shared, and the writer's next write copies
+// the current generation's array once (older generations are never written
+// again). Only the full cuts behind checkpoints and merged totals take it.
+// Callers have checked canSnap.
+func (w *Windowed) fullSnapshot() *Windowed {
+	var (
+		frozen *Windowed
+		err    error
+	)
+	w.ring.ViewStamped(func(gens []Estimator, epoch, edges, _ uint64) {
+		frozen, err = w.freeze(gens, epoch, edges, forkFull)
+	})
+	if err != nil {
+		panic(fmt.Sprintf("streamcard: Windowed.fullSnapshot: %v", err)) // ring invariants guarantee this cannot happen
+	}
+	return frozen
+}
+
+// freeze assembles a frozen view from fork applied to every live
+// generation. The caller holds the ring lock, so the forks and the epoch
+// bookkeeping describe one instant.
+func (w *Windowed) freeze(gens []Estimator, epoch, edges uint64, fork func(Estimator) Estimator) (*Windowed, error) {
+	snaps := make([]Estimator, len(gens))
+	for i, g := range gens {
+		snaps[i] = fork(g)
+	}
+	frozen, err := adoptWindowed(w.build, w.cfg, w.name, snaps, epoch, edges)
+	if err != nil {
+		return nil, err
+	}
+	// Mark the view frozen before publishing it: its ring never moves
+	// again, which is what licenses the per-view fold cache (userSums).
+	// Publication's atomic store orders the write.
+	frozen.frozen = true
+	// A view answers Snapshot with itself (its ring never moves), so reads
+	// routed through Snapshot resolve in one hop on views.
+	frozen.pub.Store(&windowedPub{win: frozen, ver: frozen.ring.Version()})
+	return frozen, nil
 }
 
 // SnapshotView implements Snapshotter.
@@ -533,7 +577,9 @@ func (w *Windowed) computeUserSums() *usertab.Table {
 // different epochs would blend different time ranges), their underlying
 // estimators must be mergeable (FreeBS or FreeRS) and built with identical
 // parameters, and both should be quiescent (no concurrent ingestion) for
-// the duration of the call. On error w is unchanged.
+// the duration of the call. An estimates-only view from Snapshot holds no
+// arrays to union: as other it reports ErrIncompatible. On error w is
+// unchanged.
 func (w *Windowed) Merge(other *Windowed) error {
 	if other == nil {
 		return fmt.Errorf("streamcard: Windowed.Merge(nil): %w", ErrIncompatible)
@@ -570,8 +616,8 @@ func (w *Windowed) Merge(other *Windowed) error {
 // clone-of-every-generation per fold, which on a k-generation window would
 // copy the accumulator k times per shard. Same compatibility rules as
 // Merge: equal generation counts, equal epochs, mergeable generations
-// built with identical parameters. other must be quiescent (the caller
-// holds its shard lock); w must be private to the caller.
+// built with identical parameters. other must be quiescent (a frozen
+// full-cut view); w must be private to the caller.
 func (w *Windowed) foldFrom(other *Windowed) error {
 	if w.Generations() != other.Generations() {
 		return fmt.Errorf("streamcard: windows with k=%d vs k=%d: %w",
@@ -621,7 +667,7 @@ func mergeGeneration(mine, theirs Estimator) (Estimator, error) {
 }
 
 // mergeGen clones m and folds the matching-typed theirs into the clone — the
-// same clone-then-fold shape as Sharded's mergeShards, written once over the
+// same clone-then-fold shape as mergeViewsTyped, written once over the
 // shared mergeable constraint.
 func mergeGen[T interface {
 	Estimator
@@ -640,7 +686,8 @@ func mergeGen[T interface {
 
 // Clone returns an independent deep copy of w: same configuration, every
 // live generation cloned, epoch bookkeeping preserved. It requires a
-// cloneable underlying estimator (FreeBS or FreeRS) and panics otherwise.
+// cloneable underlying estimator (FreeBS or FreeRS) and panics otherwise,
+// and on an estimates-only view from Snapshot, which has no arrays to copy.
 func (w *Windowed) Clone() *Windowed {
 	gens, epoch, edges := w.ring.Snapshot()
 	clones := make([]Estimator, len(gens))
@@ -663,7 +710,9 @@ func (w *Windowed) Clone() *Windowed {
 
 // MarshalBinary serializes every live generation plus the epoch bookkeeping
 // through the versioned window envelope in internal/core. It requires the
-// underlying estimator to support checkpointing (FreeBS or FreeRS).
+// underlying estimator to support checkpointing (FreeBS or FreeRS), and
+// fails on an estimates-only view from Snapshot, which has no array words
+// to write.
 func (w *Windowed) MarshalBinary() ([]byte, error) {
 	gens, epoch, edges := w.ring.Snapshot()
 	payloads := make([][]byte, len(gens))
