@@ -34,7 +34,7 @@ import (
 // With one worker (or one shard) it runs inline on the caller's goroutine —
 // single-core hosts pay no scheduling overhead and stay easy to reason
 // about. work must not panic: a panic on a pool goroutine would kill the
-// process, so callers narrow interfaces (anytime) before fanning out.
+// process.
 func forEachShard(n int, work func(i int)) {
 	workers := runtime.GOMAXPROCS(0)
 	if workers > n {
@@ -81,29 +81,19 @@ func (v *ShardedView) TopK(k int) []Spreader {
 		return nil
 	}
 	n := len(v.views)
-	ests := make([]AnytimeEstimator, n)
-	for i := range ests {
-		ests[i] = v.anytime(i, "TopK")
-	}
 	if n == 1 {
-		return TopKSerial(ests[0], k)
+		return TopKSerial(v.views[0], k)
 	}
 	per := make([][]Spreader, n)
 	forEachShard(n, func(i int) {
-		per[i] = TopKSerial(ests[i], k)
+		per[i] = TopKSerial(v.views[i], k)
 	})
 	return mergeTopK(per, k)
 }
 
 // TopK on the live Sharded routes through the published snapshot like every
-// other read, falling back to the locked sequential scan for stacks that
-// cannot snapshot.
-func (s *Sharded) TopK(k int) []Spreader {
-	if v := s.Snapshot(); v != nil {
-		return v.TopK(k)
-	}
-	return TopKSerial(s, k)
-}
+// other read.
+func (s *Sharded) TopK(k int) []Spreader { return s.Snapshot().TopK(k) }
 
 // mergeTopK merges per-shard top-k selections (each already in output
 // order) into the global top k: concatenate the ≤ shards·k winners, sort

@@ -54,6 +54,13 @@ func crashPost(t *testing.T, url, body string) int {
 
 var metricRe = regexp.MustCompile(`(?m)^cardserved_edges_ingested_total (\d+)$`)
 
+// uptimeRe matches /healthz's uptime_s: process age, not state, so a
+// restored daemon and its younger twin may differ in it by whole seconds.
+var uptimeRe = regexp.MustCompile(`"uptime_s":\d+`)
+
+// blankUptime neutralizes uptime_s so /healthz bodies compare on state.
+func blankUptime(body string) string { return uptimeRe.ReplaceAllString(body, `"uptime_s":0`) }
+
 // TestDaemonSIGKILLRecovery runs under -race in CI's test job; the killed
 // child is the plainly built binary, while the restarted server and the
 // twin run in-process so the replay and comparison paths get race
@@ -192,7 +199,7 @@ func TestDaemonSIGKILLRecovery(t *testing.T) {
 	for _, q := range []string{"/total", "/estimate?user=3", "/estimate?user=250", "/healthz"} {
 		_, got := httpGet(t, base2+q)
 		_, want := httpGet(t, base3+q)
-		if got != want {
+		if got, want = blankUptime(got), blankUptime(want); got != want {
 			t.Fatalf("%s diverged after crash recovery:\n restored: %s\n twin:     %s", q, got, want)
 		}
 	}

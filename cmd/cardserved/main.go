@@ -77,11 +77,10 @@ func run(args []string, out io.Writer, sig <-chan os.Signal) error {
 		walFlush = fs.Duration("wal-flush-interval", 50*time.Millisecond, "WAL group-commit fsync cadence for -wal-sync interval")
 		walSeg   = fs.Int64("wal-segment-bytes", 64<<20, "WAL segment file size bound (checkpoints delete fully-covered segments whole)")
 		retain   = fs.Int("retain", 3, "checkpoint history files kept in the spool (newest N; current.ckpt is always the newest)")
-		workers  = fs.Int("workers", 0, "deprecated and ignored: the pipeline runs one executor per shard (-shards)")
 		queue    = fs.Int("queue", 64, "per-shard executor queue depth (full queue = backpressure)")
 		maxBody  = fs.Int64("max-body", 8<<20, "max ingest request body bytes")
 		drainFor = fs.Duration("drain", 10*time.Second, "shutdown grace for in-flight HTTP requests")
-		writeTO  = fs.Duration("write-timeout", 2*time.Minute, "per-response write deadline (0 = none); bounds how long a stalled reader of a streaming endpoint like /users can hold the sketch locks")
+		writeTO  = fs.Duration("write-timeout", 2*time.Minute, "per-response write deadline (0 = none); connection hygiene: a streaming endpoint like /users reads a published snapshot and holds no sketch lock, but a stalled reader pins its handler goroutine and that snapshot until the deadline")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -107,7 +106,6 @@ func run(args []string, out io.Writer, sig <-chan os.Signal) error {
 		WALFlushInterval:   *walFlush,
 		WALSegmentBytes:    *walSeg,
 		Retain:             *retain,
-		Workers:            *workers,
 		QueueDepth:         *queue,
 		MaxBodyBytes:       *maxBody,
 		StreamWriteTimeout: streamTO,

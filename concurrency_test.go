@@ -187,7 +187,7 @@ func TestShardedWindowedRotateChaos(t *testing.T) {
 	s := NewSharded(4, func(i int) Estimator {
 		return NewWindowed(func() Estimator {
 			return NewFreeRS(1<<14, WithSeed(uint64(i)+1))
-		}, WithGenerations(3), WithRotateEveryEdges(5000))
+		}, WithGenerations(3))
 	})
 	var wg sync.WaitGroup
 	for w := 0; w < 6; w++ {

@@ -162,14 +162,6 @@ type Config struct {
 	// default (3); at least one history entry is always kept, since the
 	// newest is a free hard link to current.ckpt.
 	Retain int
-	// Workers is accepted for configuration compatibility but no longer
-	// sizes anything: the ingest pipeline runs exactly one executor per
-	// shard (decode-time partitioning makes each shard's queue a
-	// single-writer sub-stream, so extra workers could only contend).
-	// Negative values are still rejected.
-	//
-	// Deprecated: set Shards to size ingest parallelism.
-	Workers int
 	// QueueDepth bounds each shard's sub-batch queue; a full queue blocks
 	// ingest handlers, which is the service's backpressure. Default 64.
 	QueueDepth int
@@ -223,11 +215,9 @@ func (c *Config) fillDefaults() error {
 	if c.MaxBodyBytes == 0 {
 		c.MaxBodyBytes = 8 << 20
 	}
-	if c.Workers < 0 || c.QueueDepth < 0 || c.MaxBodyBytes < 0 {
-		// A negative queue panics make(chan); a negative worker count was
-		// always nonsense (the field is vestigial but still validated so a
-		// config that was wrong before stays wrong).
-		return errors.New("server: Workers, QueueDepth, and MaxBodyBytes must be positive")
+	if c.QueueDepth < 0 || c.MaxBodyBytes < 0 {
+		// A negative queue panics make(chan).
+		return errors.New("server: QueueDepth and MaxBodyBytes must be positive")
 	}
 	if _, err := wal.ParsePolicy(c.WALSync); err != nil {
 		return fmt.Errorf("server: %w", err)
@@ -293,8 +283,11 @@ type Server struct {
 	cfg   Config
 	start time.Time
 
-	wins []*streamcard.Windowed // per-shard windows, for checkpointing
-	sh   *streamcard.Sharded    // the serving stack over wins
+	// wins are the per-shard windows. The spool restore writes them before
+	// sh is built; from then on sh owns them, and the server only reads
+	// them directly (the UserEntries gauges and Epoch).
+	wins []*streamcard.Windowed
+	sh   *streamcard.Sharded // the serving stack over wins
 
 	// part splits each decoded batch into shard-pure sub-batches once, on
 	// the handler goroutine (decode-time partitioning), routed exactly as
@@ -433,15 +426,6 @@ func New(cfg Config) (*Server, error) {
 				s.retiredPairs.Add(uint64(g.TotalDistinct() + 0.5))
 			}))
 	}
-	next := 0
-	s.sh = streamcard.NewSharded(cfg.Shards, func(int) streamcard.Estimator {
-		w := s.wins[next]
-		next++
-		return w
-	})
-	// Decode-time partitioning routes exactly as the stack does: the same
-	// hash, the same shard, so ObserveShardBatch never re-groups.
-	s.part = stream.NewPartitioner(cfg.Shards, s.sh.ShardIndex)
 	for i := range s.wins {
 		i := i
 		s.reg.Gauge("cardserved_shard_queue_depth", fmt.Sprintf(`shard="%d"`, i),
@@ -479,6 +463,13 @@ func New(cfg Config) (*Server, error) {
 		s.restored = restored
 		restoredWALSeq, s.epochEdges = walSeq, epochEdges
 	}
+
+	// The Sharded takes ownership of the (restored) windows; everything
+	// after this point, WAL replay included, writes them through it.
+	s.sh = streamcard.NewSharded(cfg.Shards, func(i int) streamcard.Estimator { return s.wins[i] })
+	// Decode-time partitioning routes exactly as the stack does: the same
+	// hash, the same shard, so ObserveShardBatch never re-groups.
+	s.part = stream.NewPartitioner(cfg.Shards, s.sh.ShardIndex)
 
 	if cfg.WALDir != "" {
 		if err := s.openWAL(restoredWALSeq); err != nil {
@@ -903,7 +894,7 @@ func (s *Server) checkpointLoop() {
 // from it; none of them take any sketch lock. (The merged /total and the
 // checkpoint writer need the array words and take a full cut instead.)
 func (s *Server) view() *streamcard.ShardedView {
-	return s.sh.Snapshot() // never nil: the stack is Windowed(FreeBS|FreeRS)
+	return s.sh.Snapshot()
 }
 
 // Checkpoint freezes the full windowed state of every shard from a
@@ -1302,9 +1293,10 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 // The published snapshot carries no array words, so the merge runs on a
 // full cut (Sharded.FullSnapshot) taken at the first merged request
 // against the snapshot and is cached on it, so repeated merged totals over
-// an unchanged stack cut and merge once. When the shards cannot merge
-// (distinct seeds, drifted epochs) the merged request falls back to the
-// sum and says so in "method"; an unknown method is a 400. The reported
+// an unchanged stack cut and merge once. If the merge reports an error
+// (the shards share one seed and rotate in lockstep, so none is expected)
+// the merged request falls back to the sum and says so in "method"; an
+// unknown method is a 400. The reported
 // epoch is the snapshot's: exactly the summed total's epoch, while a
 // rotation racing a merged request can put its full cut one epoch later.
 func (s *Server) handleTotal(w http.ResponseWriter, r *http.Request) {

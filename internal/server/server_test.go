@@ -282,11 +282,10 @@ func TestServerMalformedBatchAtomicallyRefused(t *testing.T) {
 
 func TestServerRejectsBadConfig(t *testing.T) {
 	for name, cfg := range map[string]Config{
-		"method":  {Method: "nope"},
-		"gens":    {Generations: 1},
-		"workers": {Workers: -1},
-		"queue":   {QueueDepth: -1},
-		"body":    {MaxBodyBytes: -1},
+		"method": {Method: "nope"},
+		"gens":   {Generations: 1},
+		"queue":  {QueueDepth: -1},
+		"body":   {MaxBodyBytes: -1},
 	} {
 		if _, err := New(cfg); err == nil {
 			t.Fatalf("bad %s accepted", name)

@@ -82,8 +82,8 @@ func methodByte(method string) byte {
 // marshalSpool serializes the full service state from a full cut
 // (Sharded.FullSnapshot): an epoch-consistent frozen cut that keeps the
 // array words, so no sketch lock is needed while the (potentially large)
-// payloads are marshaled. Shard order in the view matches s.wins by
-// construction (NewSharded consumed the builds in order).
+// payloads are marshaled. Shard i of the view is s.wins[i] by
+// construction (NewSharded's build returns s.wins[i] for shard i).
 // walSeq/epochEdges tie the snapshot to a WAL position (both 0 when the
 // WAL is off); with the WAL on, the caller captured view and position
 // under one quiesce cut so they describe the same instant.

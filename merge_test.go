@@ -132,9 +132,6 @@ func TestShardedTotalDistinctMerged(t *testing.T) {
 		})
 	}
 
-	// Non-mergeable shard types are rejected too.
-	cse := NewSharded(2, func(i int) Estimator { return NewCSE(1<<12, 64, WithSeed(1)) })
-	if _, err := cse.TotalDistinctMerged(); !errors.Is(err, ErrIncompatible) {
-		t.Fatalf("CSE shards: want ErrIncompatible, got %v", err)
-	}
+	// Non-mergeable shard types are refused at construction.
+	mustPanic(t, func() { NewSharded(2, func(i int) Estimator { return NewCSE(1<<12, 64, WithSeed(1)) }) })
 }

@@ -2,15 +2,17 @@ package streamcard
 
 import (
 	"fmt"
+	"reflect"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/hashing"
 	"repro/internal/stream"
+	"repro/internal/window"
 )
 
-// Sharded makes any Estimator safe for concurrent use and scalable across
-// cores — the deployment shape the paper's conclusion points at (SDN
+// Sharded makes the paper's estimators safe for concurrent use and scalable
+// across cores — the deployment shape the paper's conclusion points at (SDN
 // routers and line-rate monitors process packets on many threads).
 //
 // Users are partitioned by hash across N independent shards, each its own
@@ -23,18 +25,22 @@ import (
 //
 // The memory budget given to the constructor is split evenly across shards.
 //
-// Reads are snapshot-isolated: when the shard estimators support
-// copy-on-write snapshots (FreeBS, FreeRS, Windowed over either), every
-// query method is served from an atomically published, epoch-consistent,
-// estimates-only frozen view (see Snapshot and ShardedView in snapshot.go),
-// so queries, user enumerations and top-k scans never hold the shard
-// locks — the write path (Observe/ObserveBatch/Rotate) is the only lock
-// domain, and once a reader exists it also publishes each shard's fresh
-// snapshot as it releases the lock, so queries stay fast (atomic loads)
-// even while large batches are absorbing. Checkpoints and the merged total
-// read the array words, which published views do not carry; they take a
-// FullSnapshot cut, which briefly holds every shard lock. Other estimator
-// types fall back to the locked read paths.
+// The shards are FreeBS, FreeRS, or Windowed over either — one concrete type
+// per stack — and the Sharded owns them: once built they are written and
+// rotated only through it. Windowed shards carry no automatic rotation
+// boundary, so Rotate alone advances their epochs, and it advances every
+// shard together: the stack always sits at one epoch.
+//
+// Reads are snapshot-isolated: every query method is served from an
+// atomically published, epoch-consistent, estimates-only frozen view (see
+// Snapshot and ShardedView in snapshot.go), so queries, user enumerations
+// and top-k scans never hold the shard locks — the write path
+// (Observe/ObserveBatch/Rotate) is the only lock domain, and once a reader
+// exists it also publishes each shard's fresh snapshot as it releases the
+// lock, so queries stay fast (atomic loads) even while large batches are
+// absorbing. Checkpoints and the merged total read the array words, which
+// published views do not carry; they take a FullSnapshot cut, which
+// briefly holds every shard lock.
 type Sharded struct {
 	shards []shard
 	seed   uint64
@@ -46,9 +52,6 @@ type Sharded struct {
 	// path through it yields bit-identical per-shard sub-streams.
 	part *stream.Partitioner
 
-	// snapshottable is fixed at construction: every shard supports O(1)
-	// copy-on-write snapshots, so the read methods route through Snapshot.
-	snapshottable bool
 	// readers arms writer-side snapshot publication; it is set (once, never
 	// cleared) by the first Snapshot call. While unset, writes skip the
 	// per-batch publish entirely — a pure-ingest stack (bulk load, spool
@@ -56,9 +59,9 @@ type Sharded struct {
 	// is using. Correctness never depends on the flag: shardView's locked
 	// refresh covers any shard written before its publication was armed.
 	readers atomic.Bool
-	// set is the published epoch-consistent view of all shards; stale (any
-	// shard's version moved on, or an epoch race was caught) views are
-	// rebuilt incrementally by Snapshot.
+	// set is the published epoch-consistent view of all shards; stale
+	// views (any shard's version moved on) are rebuilt incrementally by
+	// Snapshot.
 	set atomic.Pointer[ShardedView]
 	// rotMu serializes whole rotation fan-outs against the fully locked
 	// snapshot cut (lockedCut), so an all-locks view can never
@@ -80,7 +83,12 @@ type shard struct {
 
 // NewSharded returns a sharded wrapper with n shards; build(i) must return
 // a fresh estimator for shard i (use distinct seeds per shard for hash
-// independence). It panics if n <= 0 or build returns nil.
+// independence, or one shared seed to enable TotalDistinctMerged). Every
+// shard must be a FreeBS, a FreeRS, or a Windowed built without
+// WithRotateEveryEdges or WithRotateEvery, and all n must share one
+// concrete type. The Sharded owns the shards from then on: feed and rotate
+// them only through it. It panics if n <= 0, if build is nil or returns
+// nil, or if a shard breaks these rules.
 func NewSharded(n int, build func(shard int) Estimator) *Sharded {
 	if n <= 0 {
 		panic("streamcard: NewSharded requires n > 0")
@@ -93,19 +101,32 @@ func NewSharded(n int, build func(shard int) Estimator) *Sharded {
 		seed:   hashing.Mix64(uint64(n) ^ 0x3779c0ffee),
 	}
 	s.part = stream.NewPartitioner(n, s.ShardIndex)
-	s.snapshottable = true
 	for i := range s.shards {
 		est := build(i)
-		if est == nil {
-			panic("streamcard: build returned nil estimator")
+		checkShard(est)
+		if i > 0 && reflect.TypeOf(est) != reflect.TypeOf(s.shards[0].est) {
+			panic(fmt.Sprintf("streamcard: NewSharded needs shards of one type, got %s and %s",
+				s.shards[0].est.Name(), est.Name()))
 		}
 		s.shards[i].est = est
-		if !estSnapshottable(est) {
-			s.snapshottable = false
-		}
 	}
 	s.name = fmt.Sprintf("Sharded(%s,%d)", s.shards[0].est.Name(), n)
 	return s
+}
+
+// checkShard panics unless est is a shard NewSharded accepts.
+func checkShard(est Estimator) {
+	switch e := est.(type) {
+	case nil:
+		panic("streamcard: build returned nil estimator")
+	case *FreeBS, *FreeRS:
+	case *Windowed:
+		if _, manual := e.cfg.boundary.(window.Manual); !manual {
+			panic(fmt.Sprintf("streamcard: NewSharded needs %s shards without a rotation boundary of their own: Sharded.Rotate advances them", e.Name()))
+		}
+	default:
+		panic(fmt.Sprintf("streamcard: NewSharded needs FreeBS, FreeRS or Windowed shards, not %s", est.Name()))
+	}
 }
 
 func (s *Sharded) shardFor(user uint64) *shard {
@@ -133,7 +154,7 @@ func (s *Sharded) Observe(user, item uint64) {
 	sh.mu.Lock()
 	sh.est.Observe(user, item)
 	sh.ver.Add(1)
-	if s.snapshottable && s.readers.Load() {
+	if s.readers.Load() {
 		sh.publishLocked()
 	}
 	sh.mu.Unlock()
@@ -156,7 +177,7 @@ func (s *Sharded) ObserveBatch(edges []Edge) {
 	// keeps query latency flat under batch ingest: a reader assembling a
 	// view mid-batch finds current snapshots waiting instead of queueing
 	// behind the absorb for a locked refresh.
-	pub := s.snapshottable && s.readers.Load()
+	pub := s.readers.Load()
 	b := s.part.Split(edges)
 	for t := range s.shards {
 		if sub := b.Shard(t); len(sub) > 0 {
@@ -186,7 +207,7 @@ func (s *Sharded) ObserveShardBatch(idx int, edges []Edge) {
 	if len(edges) == 0 {
 		return
 	}
-	s.absorbShard(idx, edges, s.snapshottable && s.readers.Load())
+	s.absorbShard(idx, edges, s.readers.Load())
 }
 
 // absorbShard feeds one shard-pure sub-batch to shard t under its lock,
@@ -203,32 +224,11 @@ func (s *Sharded) absorbShard(t int, sub []Edge, pub bool) {
 }
 
 // Estimate implements Estimator; safe for concurrent use. Served from the
-// published snapshot when available: no shard lock is held for the read.
-func (s *Sharded) Estimate(user uint64) float64 {
-	if v := s.Snapshot(); v != nil {
-		return v.Estimate(user)
-	}
-	sh := s.shardFor(user)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return sh.est.Estimate(user)
-}
+// published snapshot: no shard lock is held for the read.
+func (s *Sharded) Estimate(user uint64) float64 { return s.Snapshot().Estimate(user) }
 
-// TotalDistinct implements Estimator (sum across shards; snapshot-served
-// when available).
-func (s *Sharded) TotalDistinct() float64 {
-	if v := s.Snapshot(); v != nil {
-		return v.TotalDistinct()
-	}
-	total := 0.0
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		total += sh.est.TotalDistinct()
-		sh.mu.Unlock()
-	}
-	return total
-}
+// TotalDistinct implements Estimator (sum across shards, snapshot-served).
+func (s *Sharded) TotalDistinct() float64 { return s.Snapshot().TotalDistinct() }
 
 // MemoryBits implements Estimator (sum across shards).
 func (s *Sharded) MemoryBits() int64 {
@@ -245,115 +245,36 @@ func (s *Sharded) MemoryBits() int64 {
 // TotalDistinctMerged combines the shard sketches with Merge and returns the
 // combined sketch's total — the array-derived, low-variance reading of the
 // union, the way per-shard sketches are merged for a database-wide
-// cardinality instead of summing independent estimates. It requires every
-// shard to wrap the same mergeable type (FreeBS, FreeRS, or a Windowed over
-// either) built with identical parameters, including the seed: build shards
-// with a shared seed to use it (user-partitioning keeps per-user estimates
-// exact either way). With the customary distinct per-shard seeds it reports
-// ErrIncompatible — fall back to TotalDistinct, which sums shard totals and
-// needs no compatibility. Windowed shards additionally require every shard
-// to sit at the same epoch (ErrIncompatible otherwise), which Rotate
-// guarantees as long as rotations go through it. Safe for concurrent use.
-// The merge runs on a FullSnapshot cut — it holds the rotation mutex and
-// every shard lock only while the O(1) forks are taken, never during the
-// merge — and the result is cached on the published view until the next
-// write publishes a fresh one, so repeated totals over an unchanged stack
-// pay a single cut and merge.
+// cardinality instead of summing independent estimates. It requires the
+// shards to be built with identical parameters, including the seed: build
+// shards with a shared seed to use it (user-partitioning keeps per-user
+// estimates exact either way). With the customary distinct per-shard seeds
+// it reports ErrIncompatible — fall back to TotalDistinct, which sums shard
+// totals and needs no compatibility. Windowed shards are merged generation
+// by generation at their common epoch. Safe for concurrent use; see
+// ShardedView.TotalDistinctMerged for the full cut it merges and the
+// per-view cache.
 func (s *Sharded) TotalDistinctMerged() (float64, error) {
-	if v := s.Snapshot(); v != nil {
-		return v.TotalDistinctMerged()
-	}
-	// Every mergeable shard type also snapshots, so a stack without
-	// snapshots has a shard that cannot merge.
-	return 0, fmt.Errorf("streamcard: %s: not every shard is mergeable: %w", s.name, ErrIncompatible)
-}
-
-// mergeable is the self-referential merge surface both FreeBS and FreeRS
-// expose; mergeViewsTyped and mergeGen are generic over it so the
-// clone-then-fold aggregation is written once.
-type mergeable[T any] interface {
-	Merge(T) error
-	Clone() T
-	TotalDistinct() float64
+	return s.Snapshot().TotalDistinctMerged()
 }
 
 // Users implements AnytimeEstimator: fn is called once per user with a
-// nonzero estimate, fanning out across the shards. Users partition across
-// shards (all of a user's edges land in one shard), so every user is
-// reported exactly once and the union of the per-shard user sets is the
-// deployment-wide user set — no merge map needed, unlike Windowed. Each
-// shard's lock is held while its users stream through fn, so fn must not
-// call back into s (the locks are not reentrant). It requires the shard
-// estimators to be AnytimeEstimators (FreeBS, FreeRS, or Windowed over
-// either) and panics otherwise. Report order is fully deterministic: shards
-// in index order, each shard's users in ascending user order (the
-// AnytimeEstimator enumeration contract) — so /users-style output is
-// reproducible across runs and restarts. RangeUsers skips the per-shard
-// sort when order does not matter.
-//
-// Snapshot-served when available: the enumeration then runs on a frozen
-// view with no shard lock held, so fn may be slow (or call back into s)
-// without stalling ingest.
-func (s *Sharded) Users(fn func(user uint64, estimate float64)) {
-	if v := s.Snapshot(); v != nil {
-		v.Users(fn)
-		return
-	}
-	s.eachShardUsers(func(a AnytimeEstimator) { a.Users(fn) }, "Users")
-}
+// nonzero estimate — every user exactly once (users partition across
+// shards), shards in index order and each shard's users in ascending user
+// order, so /users-style output is reproducible across runs and restarts.
+// The enumeration runs on the published view (ShardedView.Users) with no
+// shard lock held, so fn may be slow, or call back into s, without stalling
+// ingest. RangeUsers skips the per-shard sort when order does not matter.
+func (s *Sharded) Users(fn func(user uint64, estimate float64)) { s.Snapshot().Users(fn) }
 
-// RangeUsers implements UserRanger: the same exactly-once fan-out as Users
-// (users partition across shards), each shard iterated through its
-// unordered allocation-free surface. Same locking caveats as Users.
-func (s *Sharded) RangeUsers(fn func(user uint64, estimate float64)) {
-	if v := s.Snapshot(); v != nil {
-		v.RangeUsers(fn)
-		return
-	}
-	s.eachShardUsers(func(a AnytimeEstimator) { rangeUsers(a, fn) }, "RangeUsers")
-}
-
-// eachShardUsers runs visit over every shard's AnytimeEstimator in shard
-// order, one shard lock at a time, panicking (outside the lock) on shards
-// that maintain no per-user estimates.
-func (s *Sharded) eachShardUsers(visit func(AnytimeEstimator), method string) {
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		a, ok := sh.est.(AnytimeEstimator)
-		if ok {
-			visit(a)
-		}
-		sh.mu.Unlock()
-		if !ok {
-			panic(fmt.Sprintf("streamcard: Sharded.%s needs AnytimeEstimator shards (FreeBS/FreeRS/Windowed), not %s", method, sh.est.Name()))
-		}
-	}
-}
+// RangeUsers implements UserRanger: the same exactly-once fan-out as Users,
+// each shard iterated through its unordered allocation-free surface.
+func (s *Sharded) RangeUsers(fn func(user uint64, estimate float64)) { s.Snapshot().RangeUsers(fn) }
 
 // NumUsers implements AnytimeEstimator: the total number of users with a
 // nonzero estimate, the sum of the per-shard counts (exact, since users
-// partition across shards). Same requirements as Users; snapshot-served
-// when available.
-func (s *Sharded) NumUsers() int {
-	if v := s.Snapshot(); v != nil {
-		return v.NumUsers()
-	}
-	total := 0
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		a, ok := sh.est.(AnytimeEstimator)
-		if ok {
-			total += a.NumUsers()
-		}
-		sh.mu.Unlock()
-		if !ok {
-			panic(fmt.Sprintf("streamcard: Sharded.NumUsers needs AnytimeEstimator shards (FreeBS/FreeRS/Windowed), not %s", sh.est.Name()))
-		}
-	}
-	return total
-}
+// partition across shards). Snapshot-served.
+func (s *Sharded) NumUsers() int { return s.Snapshot().NumUsers() }
 
 // Rotator is the epoch-advance surface of time-windowed estimators:
 // Windowed implements it, Sharded fans it out, and deployments drive it from
@@ -368,12 +289,11 @@ type Rotator interface {
 // lock as it goes — the same one-lock-per-shard discipline as ingestion, so
 // a rotation never tears a concurrent ObserveBatch (the batch's shard lock
 // holds the rotation off until the batch is fully absorbed, and the batch is
-// attributed to the epoch it started in). All shards end the call at the
-// same epoch: a Sharded(Windowed(...)) rotates coherently under one epoch
-// as long as rotations are issued from one place, which is also what keeps
+// attributed to the epoch it started in). The shards rotate only here, so
+// all of them end the call at the same epoch, which is also what keeps
 // concurrent runs bit-identical to a sequential twin rotated at the same
-// stream positions. It panics if the shard estimators do not implement
-// Rotator.
+// stream positions. It panics, before touching any shard, if the shards are
+// not Windowed.
 //
 // Rotation publishes instead of quiescing: each shard's fresh snapshot
 // (the new epoch) is published while its lock is still held, and readers
@@ -382,23 +302,18 @@ type Rotator interface {
 // whole fan-out. The fan-out runs under rotMu so the fully locked snapshot
 // cut can exclude it.
 func (s *Sharded) Rotate() {
+	if _, ok := s.shards[0].est.(Rotator); !ok {
+		panic(fmt.Sprintf("streamcard: %s shards do not rotate (wrap a Windowed estimator)", s.shards[0].est.Name()))
+	}
 	s.rotMu.Lock()
 	defer s.rotMu.Unlock()
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
-		r, ok := sh.est.(Rotator)
-		if ok {
-			r.Rotate()
-			sh.ver.Add(1)
-			if s.snapshottable {
-				sh.publishLocked()
-			}
-		}
+		sh.est.(Rotator).Rotate()
+		sh.ver.Add(1)
+		sh.publishLocked()
 		sh.mu.Unlock()
-		if !ok {
-			panic(fmt.Sprintf("streamcard: %s shards do not rotate (wrap a Windowed estimator)", sh.est.Name()))
-		}
 	}
 	// Drop the assembled pre-rotation view: it references every shard's
 	// pre-rotation generations — including the ones this rotation just
@@ -415,10 +330,7 @@ func (s *Sharded) Name() string { return s.name }
 func (s *Sharded) NumShards() int { return len(s.shards) }
 
 var (
-	_ Estimator = (*Sharded)(nil)
-	// AnytimeEstimator holds whenever the shard estimators are themselves
-	// AnytimeEstimators (FreeBS, FreeRS, or Windowed over either); Users and
-	// NumUsers panic otherwise. The same caveat applies to UserRanger.
+	_ Estimator        = (*Sharded)(nil)
 	_ AnytimeEstimator = (*Sharded)(nil)
 	_ UserRanger       = (*Sharded)(nil)
 )

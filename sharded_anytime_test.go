@@ -134,11 +134,10 @@ func TestShardedTopKDeterministic(t *testing.T) {
 }
 
 // TestShardedUsersPanicsOnNonAnytime mirrors Windowed's contract: shard
-// estimators without maintained per-user estimates cannot enumerate users.
+// estimators without maintained per-user estimates cannot enumerate users,
+// so NewSharded refuses them at construction.
 func TestShardedUsersPanicsOnNonAnytime(t *testing.T) {
-	s := NewSharded(2, func(int) Estimator { return NewCSE(1<<16, 64) })
-	mustPanic(t, func() { s.Users(func(uint64, float64) {}) })
-	mustPanic(t, func() { s.NumUsers() })
+	mustPanic(t, func() { NewSharded(2, func(int) Estimator { return NewCSE(1<<16, 64) }) })
 }
 
 // TestShardedWindowedMergedTotal: with a shared seed, merging the per-shard

@@ -111,4 +111,15 @@ func TestShardedPanics(t *testing.T) {
 	mustPanic(t, func() { NewSharded(0, func(int) Estimator { return NewFreeBS(64) }) })
 	mustPanic(t, func() { NewSharded(2, nil) })
 	mustPanic(t, func() { NewSharded(2, func(int) Estimator { return nil }) })
+	// One concrete shard type per stack: in a mixed stack Rotate would
+	// advance the Windowed shards and then fail on the rest, tearing the
+	// stack across two epochs.
+	mustPanic(t, func() {
+		NewSharded(2, func(i int) Estimator {
+			if i == 0 {
+				return NewWindowed(func() Estimator { return NewFreeRS(1 << 12) })
+			}
+			return NewFreeRS(1 << 12)
+		})
+	})
 }

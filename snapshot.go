@@ -11,7 +11,7 @@ package streamcard
 // which queued every query issued during a large ObserveBatch behind the
 // whole batch — tens of milliseconds per query under continuous ingest.
 // That locked refresh survives only as shardView's fallback for shards that
-// were mutated before any reader existed, or out of band.) This is the
+// were written before any reader existed.) This is the
 // architecture time-series storage engines use for cardinality serving —
 // immutable snapshots so reads never stall writes — and it makes the write
 // path the only lock domain in the stack.
@@ -31,12 +31,8 @@ package streamcard
 // locked cut (all shard locks, ordered, under the same rotation mutex
 // Sharded.Rotate holds), so a rotation in flight can delay a query by
 // microseconds but can never leak a torn pre/post-rotation mix into it.
-// Stacks whose shards rotate themselves independently (per-shard ByEdges /
-// ByDuration boundaries) have no common epoch to freeze; their views are
-// marked epoch-inconsistent and the merged total reports ErrIncompatible.
 
 import (
-	"fmt"
 	"runtime"
 	"sync"
 )
@@ -45,59 +41,23 @@ import (
 // with the shard's mutation version, plus the window epoch it froze (when
 // the shard is windowed).
 type shardSnap struct {
-	view     Estimator
+	view     AnytimeEstimator
 	ver      uint64
 	epoch    uint64
 	windowed bool
-
-	// src/srcVer guard against mutations that bypass the shard lock: a
-	// windowed shard rotated (or fed) directly, not through the Sharded,
-	// advances its ring version without touching sh.ver, and the shard's
-	// version stamp alone would keep serving the pre-mutation snapshot as
-	// fresh. srcVer is the ring version read before the snapshot was taken
-	// (conservative: a racing out-of-band write makes the stamp stale, never
-	// wrongly fresh). src is nil for non-windowed shards.
-	src    *Windowed
-	srcVer uint64
-}
-
-// srcFresh reports whether the snapshot's source ring (if any) is still at
-// the version the snapshot froze.
-func (p *shardSnap) srcFresh() bool {
-	return p.src == nil || p.src.ring.Version() == p.srcVer
-}
-
-// estSnapshottable reports whether a shard estimator supports O(1)
-// copy-on-write snapshots.
-func estSnapshottable(e Estimator) bool {
-	switch t := e.(type) {
-	case *FreeBS, *FreeRS:
-		return true
-	case *Windowed:
-		return t.canSnap
-	}
-	return false
 }
 
 // publishLocked refreshes the shard's published snapshot, an
 // estimates-only view (Snapshotter): publishing it never makes the next
-// write copy the shard's array. Caller holds sh.mu; the shard estimator
-// must be snapshottable. It is called by the write path as it releases the
-// lock (so readers find a fresh snapshot waiting) and by shardView's
-// fallback for snapshots staled out of band.
+// write copy the shard's array. Caller holds sh.mu. It is called by the
+// write path as it releases the lock (so readers find a fresh snapshot
+// waiting) and by shardView's fallback for shards written before
+// publication was armed.
 func (sh *shard) publishLocked() *shardSnap {
-	if p := sh.snap.Load(); p != nil && p.ver == sh.ver.Load() && p.srcFresh() {
+	if p := sh.snap.Load(); p != nil && p.ver == sh.ver.Load() {
 		return p // already current — nothing was written since
 	}
-	var src *Windowed
-	var srcVer uint64
-	if w, ok := sh.est.(*Windowed); ok {
-		// Stamp before snapshotting: an out-of-band write racing in between
-		// makes the stamp stale, which is the safe direction.
-		src, srcVer = w, w.ring.Version()
-	}
 	p := sh.snapLocked(sh.est.(Snapshotter).SnapshotView())
-	p.src, p.srcVer = src, srcVer
 	sh.snap.Store(p)
 	return p
 }
@@ -106,7 +66,7 @@ func (sh *shard) publishLocked() *shardSnap {
 // and, when the shard is windowed, the epoch the fork froze. Caller holds
 // sh.mu.
 func (sh *shard) snapLocked(view Estimator) *shardSnap {
-	p := &shardSnap{view: view, ver: sh.ver.Load()}
+	p := &shardSnap{view: view.(AnytimeEstimator), ver: sh.ver.Load()}
 	if w, ok := view.(*Windowed); ok {
 		p.epoch = uint64(w.Epoch())
 		p.windowed = true
@@ -117,15 +77,14 @@ func (sh *shard) snapLocked(view Estimator) *shardSnap {
 // shardView returns shard i's current snapshot. On the serving path this is
 // one atomic load: the write path published a fresh snapshot as it released
 // the shard lock, so the stamp check succeeds even while another batch is
-// absorbing. The locked refresh below is the fallback for snapshots that
-// went stale without a publication — a shard written before any reader
-// armed publication (Sharded.Snapshot arms it on first use), or a windowed
-// shard mutated out of band (srcFresh) — and costs one brief lock hold; the
-// snapshot itself is an O(1) estimates-only fork either way, with the writer
-// paying the lazy per-user table copy on its next write.
+// absorbing. The locked refresh below is the fallback for a shard written
+// before any reader armed publication (Sharded.Snapshot arms it on first
+// use), and costs one brief lock hold; the snapshot itself is an O(1)
+// estimates-only fork either way, with the writer paying the lazy per-user
+// table copy on its next write.
 func (s *Sharded) shardView(i int) *shardSnap {
 	sh := &s.shards[i]
-	if p := sh.snap.Load(); p != nil && p.ver == sh.ver.Load() && p.srcFresh() {
+	if p := sh.snap.Load(); p != nil && p.ver == sh.ver.Load() {
 		return p
 	}
 	sh.mu.Lock()
@@ -141,20 +100,14 @@ func (s *Sharded) shardView(i int) *shardSnap {
 // TotalDistinctMerged's one full cut, lock-free.
 type ShardedView struct {
 	parent *Sharded
-	views  []Estimator
+	views  []AnytimeEstimator
 	// snaps are the per-shard snapshots the view was assembled from, kept
-	// for freshness checks (version stamp plus the out-of-band srcFresh
-	// guard); views duplicates their estimators so the read hot path skips
-	// one indirection.
+	// for the version-stamp freshness check; views duplicates their
+	// estimators so the read hot path skips one indirection.
 	snaps      []*shardSnap
 	epoch      uint64
 	windowed   bool
 	consistent bool
-	// settled marks an epoch-inconsistent view produced with rotations
-	// excluded (the fully locked cut): the inconsistency is genuine drift
-	// (shards rotating themselves on per-shard boundaries), not a rotation
-	// caught mid-fan-out, so there is no better cut to wait for.
-	settled bool
 
 	// The merged union total is cached on the view: repeated /total queries
 	// against the same published cut merge once. A new publication is a new
@@ -165,15 +118,10 @@ type ShardedView struct {
 }
 
 // fresh reports whether the view still reflects every shard's current
-// version (and froze a consistent epoch, when that is achievable at all —
-// a settled-inconsistent view of a genuinely drifting stack stays fresh
-// until a version moves, since epochs cannot change without one).
+// version.
 func (v *ShardedView) fresh(s *Sharded) bool {
-	if v.windowed && !v.consistent && !v.settled {
-		return false
-	}
-	for i := range v.snaps {
-		if p := v.snaps[i]; p.ver != s.shards[i].ver.Load() || !p.srcFresh() {
+	for i, p := range v.snaps {
+		if p.ver != s.shards[i].ver.Load() {
 			return false
 		}
 	}
@@ -185,16 +133,12 @@ func (v *ShardedView) fresh(s *Sharded) bool {
 // in microseconds, so lock-free retries almost always win first.
 const snapshotRetries = 4
 
-// Snapshot returns the current epoch-consistent view of all shards, or nil
-// when the shard estimators do not support snapshots (callers fall back to
-// locked reads). While no shard has been written, repeated calls return the
+// Snapshot returns the current epoch-consistent view of all shards; it is
+// never nil. While no shard has been written, repeated calls return the
 // same published view — which is what makes the per-view caches (the merged
 // total) effective — and a call after a completed write always reflects it
 // (read-your-writes: the ?wait=1 ingestion contract).
 func (s *Sharded) Snapshot() *ShardedView {
-	if !s.snapshottable {
-		return nil
-	}
 	if !s.readers.Load() {
 		// First reader arms writer-side publication: from here on every
 		// write publishes its shard's fresh snapshot as it releases the
@@ -208,30 +152,14 @@ func (s *Sharded) Snapshot() *ShardedView {
 	if prev != nil && prev.fresh(s) {
 		return prev
 	}
-	for attempt := 0; ; attempt++ {
-		v, ok := s.collect()
-		switch {
-		case ok:
-			// One consistent epoch, assembled lock-free.
-		case prev != nil && prev.windowed && !prev.consistent:
-			// The stack is already diagnosed as genuinely drifting
-			// (per-shard self-rotation — only collectLocked stores an
-			// inconsistent view, and it marks the diagnosis settled):
-			// epoch mixes are its permanent condition, so serve the
-			// lock-free cut instead of paying the locked assembly on
-			// every read.
-			v.settled = true
-		case attempt < snapshotRetries:
-			runtime.Gosched() // a rotation is mid-fan-out; let it finish
-			continue
-		default:
-			// Distinguish a slow rotation from genuine drift: with
-			// rotations excluded, a lockstep stack must settle on one
-			// epoch; what still disagrees is truthfully inconsistent.
-			v = s.collectLocked()
+	for attempt := 0; attempt < snapshotRetries; attempt++ {
+		if v, ok := s.collect(); ok {
+			return s.publishView(prev, v)
 		}
-		return s.publishView(prev, v)
+		runtime.Gosched() // a rotation is mid-fan-out; let it finish
 	}
+	// With rotations excluded, the lockstep stack settles on one epoch.
+	return s.publishView(prev, s.lockedCut((*shard).publishLocked))
 }
 
 // publishView installs v as the published cross-shard view, guarding
@@ -263,7 +191,7 @@ func (s *Sharded) assemble(get func(i int) *shardSnap) *ShardedView {
 	n := len(s.shards)
 	v := &ShardedView{
 		parent:     s,
-		views:      make([]Estimator, n),
+		views:      make([]AnytimeEstimator, n),
 		snaps:      make([]*shardSnap, n),
 		consistent: true,
 	}
@@ -294,9 +222,9 @@ func (s *Sharded) collect() (v *ShardedView, ok bool) {
 // lockedCut assembles a view under the rotation mutex plus every shard
 // lock (ascending order — no other path holds two shard locks, so this
 // cannot deadlock), with get called under those locks: with rotations
-// excluded, a lockstep stack always yields one consistent epoch. It is the
-// cut behind both collectLocked and FullSnapshot, and waits at most for the
-// absorbs in flight.
+// excluded, the lockstep stack always yields one consistent epoch. It is
+// the cut behind both Snapshot's escalation and FullSnapshot, and waits at
+// most for the absorbs in flight.
 func (s *Sharded) lockedCut(get func(sh *shard) *shardSnap) *ShardedView {
 	s.rotMu.Lock()
 	defer s.rotMu.Unlock()
@@ -311,33 +239,16 @@ func (s *Sharded) lockedCut(get func(sh *shard) *shardSnap) *ShardedView {
 	return s.assemble(func(i int) *shardSnap { return get(&s.shards[i]) })
 }
 
-// collectLocked assembles a published view through lockedCut. Only
-// independently self-rotating shards can still disagree on the epoch here,
-// and then the view is marked settled: truthfully inconsistent with nothing
-// to wait for, so later reads of the unchanged stack reuse it instead of
-// re-escalating.
-func (s *Sharded) collectLocked() *ShardedView {
-	v := s.lockedCut((*shard).publishLocked)
-	if !v.consistent {
-		v.settled = true
-	}
-	return v
-}
-
 // FullSnapshot returns an unpublished cut across every shard whose forks
-// keep their array words — each shard's full copy-on-write Snapshot — or
-// nil when the shard estimators do not support snapshots. Published views
-// (Snapshot) are estimates-only; the two readers of array words take this
-// cut instead: a checkpoint, which serializes the arrays, and
-// ShardedView.TotalDistinctMerged, which unions them. The cut runs under
-// the rotation mutex and every shard lock, so it waits at most for the
-// absorbs in flight and always freezes one epoch on a lockstep stack. Each
-// shard then pays one array copy, on its next write to the current
+// keep their array words — each shard's full copy-on-write Snapshot. It is
+// never nil. Published views (Snapshot) are estimates-only; the two
+// readers of array words take this cut instead: a checkpoint, which
+// serializes the arrays, and ShardedView.TotalDistinctMerged, which unions
+// them. The cut runs under the rotation mutex and every shard lock, so it
+// waits at most for the absorbs in flight and always freezes one epoch.
+// Each shard then pays one array copy, on its next write to the current
 // generation; take the cut at checkpoint cadence, not per query.
 func (s *Sharded) FullSnapshot() *ShardedView {
-	if !s.snapshottable {
-		return nil
-	}
 	return s.lockedCut(func(sh *shard) *shardSnap { return sh.snapLocked(forkFull(sh.est)) })
 }
 
@@ -354,10 +265,10 @@ func (v *ShardedView) ShardView(i int) Estimator { return v.views[i] }
 func (v *ShardedView) Epoch() int { return int(v.epoch) }
 
 // EpochConsistent reports whether every windowed shard froze the same epoch
-// in this view. It is always true for views of lockstep stacks (rotations
-// issued through Sharded.Rotate) and for non-windowed shards; only shards
-// rotating themselves independently can make it false.
-func (v *ShardedView) EpochConsistent() bool { return !v.windowed || v.consistent }
+// in this view. It holds for every view of a stack whose shards rotate only
+// through Sharded.Rotate, as NewSharded requires: assembly retries past a
+// rotation caught mid-fan-out.
+func (v *ShardedView) EpochConsistent() bool { return v.consistent }
 
 // Observe implements Estimator; a view is read-only and panics.
 func (v *ShardedView) Observe(user, item uint64) {
@@ -395,17 +306,6 @@ func (v *ShardedView) MemoryBits() int64 {
 // Name implements Estimator.
 func (v *ShardedView) Name() string { return v.parent.name }
 
-// anytime narrows shard i's view, panicking with the aggregate method's
-// name on estimators that keep no per-user estimates (same contract as the
-// locked Sharded aggregations).
-func (v *ShardedView) anytime(i int, method string) AnytimeEstimator {
-	a, ok := v.views[i].(AnytimeEstimator)
-	if !ok {
-		panic(fmt.Sprintf("streamcard: ShardedView.%s needs AnytimeEstimator shards (FreeBS/FreeRS/Windowed), not %s", method, v.views[i].Name()))
-	}
-	return a
-}
-
 // Users implements AnytimeEstimator: every user exactly once (users
 // partition across shards), shards in index order and ascending user IDs
 // within each — the same fully deterministic order as Sharded.Users, but
@@ -416,8 +316,8 @@ func (v *ShardedView) anytime(i int, method string) AnytimeEstimator {
 // stays on this goroutine.
 func (v *ShardedView) Users(fn func(user uint64, estimate float64)) {
 	v.prepareFolds()
-	for i := range v.views {
-		v.anytime(i, "Users").Users(fn)
+	for _, e := range v.views {
+		e.Users(fn)
 	}
 }
 
@@ -426,8 +326,8 @@ func (v *ShardedView) Users(fn func(user uint64, estimate float64)) {
 // fold pre-warm (fn itself is still called serially).
 func (v *ShardedView) RangeUsers(fn func(user uint64, estimate float64)) {
 	v.prepareFolds()
-	for i := range v.views {
-		rangeUsers(v.anytime(i, "RangeUsers"), fn)
+	for _, e := range v.views {
+		rangeUsers(e, fn)
 	}
 }
 
@@ -435,14 +335,9 @@ func (v *ShardedView) RangeUsers(fn func(user uint64, estimate float64)) {
 // since users partition across shards). The per-shard counts — each a
 // window fold on windowed stacks — run on the worker pool.
 func (v *ShardedView) NumUsers() int {
-	n := len(v.views)
-	ests := make([]AnytimeEstimator, n)
-	for i := range ests {
-		ests[i] = v.anytime(i, "NumUsers")
-	}
-	counts := make([]int, n)
-	forEachShard(n, func(i int) {
-		counts[i] = ests[i].NumUsers()
+	counts := make([]int, len(v.views))
+	forEachShard(len(v.views), func(i int) {
+		counts[i] = v.views[i].NumUsers()
 	})
 	total := 0
 	for _, c := range counts {
@@ -460,77 +355,42 @@ func (v *ShardedView) NumUsers() int {
 // as long as no shard is written, repeated calls pay one cut and one merge
 // in total. Taking the cut holds the rotation mutex and every shard lock
 // briefly, so the call must not run under them (a WithOnRetire hook).
-// Requirements are unchanged: identically built shards (shared seed), and
-// for windowed shards one common epoch — an epoch-inconsistent view or cut
-// reports ErrIncompatible.
+// Identically built shards (shared seed) are required, and windowed shards
+// must sit at one epoch; otherwise the merge reports ErrIncompatible.
 func (v *ShardedView) TotalDistinctMerged() (float64, error) {
 	v.mergedOnce.Do(func() {
-		cut := v
-		if v.EpochConsistent() {
-			cut = v.parent.FullSnapshot()
-		}
-		if !cut.EpochConsistent() {
-			v.mergedErr = fmt.Errorf("streamcard: shards at different epochs: %w", ErrIncompatible)
-			return
-		}
-		v.merged, v.mergedErr = mergeEstimators(cut.views)
+		v.merged, v.mergedErr = mergeEstimators(v.parent.FullSnapshot().views)
 	})
 	return v.merged, v.mergedErr
 }
 
-// mergeEstimators clones the first estimator and folds the rest in, over
-// an already frozen slice of full forks.
-func mergeEstimators(views []Estimator) (float64, error) {
+// mergeEstimators clones the first of a frozen slice of full forks, all of
+// one shard type, and folds the rest in.
+func mergeEstimators(views []AnytimeEstimator) (float64, error) {
 	switch views[0].(type) {
 	case *FreeBS:
-		return mergeViewsTyped(views, func(e Estimator) (*FreeBS, bool) { f, ok := e.(*FreeBS); return f, ok })
+		return mergeViews(views, (*FreeBS).Merge)
 	case *FreeRS:
-		return mergeViewsTyped(views, func(e Estimator) (*FreeRS, bool) { f, ok := e.(*FreeRS); return f, ok })
-	case *Windowed:
-		return mergeWindowedViews(views)
+		return mergeViews(views, (*FreeRS).Merge)
 	default:
-		return 0, fmt.Errorf("streamcard: %s shards are not mergeable: %w",
-			views[0].Name(), ErrIncompatible)
+		// Windowed: foldFrom skips Merge's clone per fold — on error the
+		// private accumulator is discarded whole.
+		return mergeViews(views, (*Windowed).foldFrom)
 	}
 }
 
-// mergeViewsTyped clones the first view and folds the rest in, generic
-// over the shared mergeable constraint.
-func mergeViewsTyped[T mergeable[T]](views []Estimator, cast func(Estimator) (T, bool)) (float64, error) {
-	var combined T
-	for i, e := range views {
-		est, ok := cast(e)
-		if !ok {
-			return 0, fmt.Errorf("streamcard: shard %d is not %T: %w", i, combined, ErrIncompatible)
-		}
-		if i == 0 {
-			combined = est.Clone()
-		} else if err := combined.Merge(est); err != nil {
+// mergeViews clones the first view and folds the rest into the clone.
+func mergeViews[T interface {
+	AnytimeEstimator
+	Clone() T
+}](views []AnytimeEstimator, fold func(acc, next T) error) (float64, error) {
+	acc := views[0].(T).Clone()
+	for _, e := range views[1:] {
+		if err := fold(acc, e.(T)); err != nil {
 			return 0, err
 		}
 	}
-	return combined.TotalDistinct(), nil
-}
-
-// mergeWindowedViews folds frozen windowed shard views generation by
-// generation into a private clone of the first (foldFrom: no per-fold
-// atomicity cost — on error the accumulator is discarded whole).
-func mergeWindowedViews(views []Estimator) (float64, error) {
-	var combined *Windowed
-	for i, e := range views {
-		w, ok := e.(*Windowed)
-		if !ok {
-			return 0, fmt.Errorf("streamcard: shard %d is not *Windowed: %w", i, ErrIncompatible)
-		}
-		if i == 0 {
-			combined = w.Clone()
-			continue
-		}
-		if err := combined.foldFrom(w); err != nil {
-			return 0, err
-		}
-	}
-	return combined.TotalDistinct(), nil
+	return acc.TotalDistinct(), nil
 }
 
 var (

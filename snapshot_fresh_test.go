@@ -9,6 +9,7 @@ package streamcard
 import (
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -56,6 +57,7 @@ func TestSnapshotFreshUnderWritePressure(t *testing.T) {
 		done     = make(chan struct{})
 		batchMu  sync.Mutex
 		batchDur []float64
+		batches  atomic.Int64
 	)
 	for w := 0; w < 2; w++ {
 		stop.Add(1)
@@ -74,13 +76,21 @@ func TestSnapshotFreshUnderWritePressure(t *testing.T) {
 				batchMu.Lock()
 				batchDur = append(batchDur, d)
 				batchMu.Unlock()
+				batches.Add(1)
 			}
 		}(uint64(2 + w))
 	}
 
+	// Query for at least 500 ms and until the writers have finished four
+	// batches (a slow host, or -race, can stretch a 65k-edge absorb past
+	// 100 ms), capped at 30 s against a hung writer.
 	var queryDur []float64
-	deadline := time.Now().Add(500 * time.Millisecond)
-	for time.Now().Before(deadline) {
+	start := time.Now()
+	for {
+		el := time.Since(start)
+		if el >= 30*time.Second || (el >= 500*time.Millisecond && batches.Load() >= 4) {
+			break
+		}
 		t0 := time.Now()
 		v := s.Snapshot()
 		_ = v.Estimate(uint64(len(queryDur)%50_000 + 1))

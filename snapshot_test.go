@@ -13,6 +13,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/hashing"
 )
@@ -264,68 +265,40 @@ func TestShardedSnapshotDistinctSeeds(t *testing.T) {
 	}
 }
 
-// TestShardedSnapshotDriftingEpochs: shards rotating themselves on
-// per-shard edge-count boundaries have no common epoch. Views of such a
-// stack must still be served (marked epoch-inconsistent, merged total
-// ErrIncompatible — the locked aggregation's historical contract), must
-// not spin or deadlock, and must be REUSED while nothing is written: the
-// drift diagnosis settles instead of re-escalating to the all-locks cut
-// on every read.
+// TestShardedSnapshotDriftingEpochs: windows rotating themselves on
+// per-shard boundaries would leave the stack with no common epoch to
+// freeze, so NewSharded refuses Windowed shards built with an automatic
+// rotation boundary, by edge count or by wall time: Sharded.Rotate alone
+// advances a Sharded's windows.
 func TestShardedSnapshotDriftingEpochs(t *testing.T) {
-	s := NewSharded(3, func(int) Estimator {
-		return NewWindowed(func() Estimator {
-			return NewFreeRS(1<<14, WithSeed(7))
-		}, WithGenerations(2), WithRotateEveryEdges(500))
-	})
-	rng := hashing.NewRNG(5)
-	for i := 0; i < 40; i++ {
-		s.ObserveBatch(randomBatch(rng, 300))
-	}
-	// Confirm the shards actually drifted (hash imbalance over 12k edges
-	// makes equal per-shard rotation counts wildly unlikely; if they ever
-	// tie, the view is simply consistent and the test's second half still
-	// holds).
-	v := s.Snapshot()
-	if v == nil {
-		t.Fatal("drifting stack must still be snapshottable")
-	}
-	if !v.EpochConsistent() {
-		if _, err := v.TotalDistinctMerged(); !errors.Is(err, ErrIncompatible) {
-			t.Fatalf("merged total on an epoch-torn view: want ErrIncompatible, got %v", err)
-		}
-	}
-	if v.NumUsers() == 0 {
-		t.Fatal("drifting view lost the users")
-	}
-	// Quiescent reuse: with no writes, the same view object is served.
-	if s.Snapshot() != v {
-		t.Fatal("quiescent drifting stack rebuilt its view (settled diagnosis not reused)")
-	}
-	// And reads keep working through continued drift.
-	for i := 0; i < 10; i++ {
-		s.ObserveBatch(randomBatch(rng, 300))
-		_ = s.Estimate(uint64(rng.Intn(4000) + 1))
-		_ = s.NumUsers()
+	for name, boundary := range map[string]WindowedOption{
+		"edges":     WithRotateEveryEdges(500),
+		"wall-time": WithRotateEvery(time.Minute),
+	} {
+		t.Run(name, func(t *testing.T) {
+			mustPanic(t, func() {
+				NewSharded(3, func(int) Estimator {
+					return NewWindowed(func() Estimator {
+						return NewFreeRS(1<<14, WithSeed(7))
+					}, WithGenerations(2), boundary)
+				})
+			})
+		})
 	}
 }
 
-// TestUnsnapshottableFallback: estimators without snapshot support keep the
-// locked read path — Snapshot reports nil, queries still work.
+// TestUnsnapshottableFallback: estimators without snapshot support have no
+// place in the snapshot-only read path, so the constructors refuse them —
+// NewSharded over CSE or vHLL shards, NewWindowed over CSE or vHLL
+// generations — instead of serving them through a locked fallback.
 func TestUnsnapshottableFallback(t *testing.T) {
-	s := NewSharded(2, func(int) Estimator { return NewCSE(1<<14, 256) })
-	s.Observe(5, 6)
-	if v := s.Snapshot(); v != nil {
-		t.Fatal("CSE shards must not claim snapshot support")
-	}
-	if s.Estimate(5) <= 0 {
-		t.Fatal("locked fallback Estimate broken")
-	}
-	w := NewWindowed(func() Estimator { return NewCSE(1<<14, 256) })
-	if w.Snapshot() != nil {
-		t.Fatal("Windowed over CSE must not claim snapshot support")
-	}
-	w.Observe(5, 6)
-	if w.Estimate(5) <= 0 {
-		t.Fatal("windowed locked fallback Estimate broken")
+	for name, build := range map[string]func() Estimator{
+		"CSE":  func() Estimator { return NewCSE(1<<14, 256) },
+		"vHLL": func() Estimator { return NewVHLL(1<<14, 256) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			mustPanic(t, func() { NewSharded(2, func(int) Estimator { return build() }) })
+			mustPanic(t, func() { NewWindowed(build) })
+		})
 	}
 }

@@ -111,17 +111,15 @@ type AnytimeEstimator interface {
 // panics. Checkpoints and merged totals take a
 // full cut instead (FreeBS/FreeRS Snapshot, Sharded.FullSnapshot).
 //
-// FreeBS, FreeRS, and Windowed over either implement it (Sharded publishes
-// whole snapshot sets through its own Snapshot method). A Windowed over a
-// non-snapshottable underlying estimator (CSE, vHLL, per-user baselines)
-// returns nil from SnapshotView, and callers fall back to locked reads.
+// FreeBS, FreeRS, and Windowed (always over one of the two) implement it,
+// and none ever returns a nil view; Sharded publishes whole snapshot sets
+// through its own Snapshot method.
 type Snapshotter interface {
 	Estimator
 	// SnapshotView returns a frozen estimates-only view of the current
-	// state, or nil if the estimator's composition cannot produce one. The
-	// call must be serialized with writers (it is O(1), so callers take it
-	// under the same lock that guards Observe); reads of the returned view
-	// are then lock-free.
+	// state, never nil. The call must be serialized with writers (it is
+	// O(1), so callers take it under the same lock that guards Observe);
+	// reads of the returned view are then lock-free.
 	SnapshotView() Estimator
 }
 

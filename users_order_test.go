@@ -78,15 +78,23 @@ func TestUsersSortedAndRangeUsersAgree(t *testing.T) {
 // the same estimates — the reproducibility /users consumers rely on.
 func TestUsersDeterministicAcrossTwins(t *testing.T) {
 	edges := randomEdges(91, 30000, 400, 2500)
-	build := func() AnytimeEstimator {
+	build := func() *Sharded {
 		return NewSharded(4, func(int) Estimator {
 			return NewWindowed(func() Estimator { return NewFreeRS(1<<17, WithSeed(5)) },
-				WithGenerations(3), WithRotateEveryEdges(7000))
+				WithGenerations(3))
 		})
 	}
 	a, b := build(), build()
-	a.ObserveBatch(edges)
-	b.ObserveBatch(edges)
+	const epoch = 7000
+	for i := 0; i < len(edges); i += epoch {
+		chunk := edges[i:min(i+epoch, len(edges))]
+		a.ObserveBatch(chunk)
+		b.ObserveBatch(chunk)
+		if len(chunk) == epoch {
+			a.Rotate()
+			b.Rotate()
+		}
+	}
 	orderA, sumsA := collectUsers(a)
 	orderB, sumsB := collectUsers(b)
 	if !slices.Equal(orderA, orderB) {

@@ -12,10 +12,10 @@ import (
 	"repro/internal/window"
 )
 
-// Windowed adapts any Estimator to approximate cardinalities over the recent
-// past instead of the whole stream — the practical need behind the paper's
-// future-work note on monitoring anomalies continuously (a scanner from last
-// week should not keep a host flagged today).
+// Windowed adapts FreeBS or FreeRS to approximate cardinalities over the
+// recent past instead of the whole stream — the practical need behind the
+// paper's future-work note on monitoring anomalies continuously (a scanner
+// from last week should not keep a host flagged today).
 //
 // It uses k-generation epoch rotation, the standard windowing scheme for
 // sketches that do not support deletion: k generations of the underlying
@@ -34,21 +34,20 @@ import (
 // rotation run under one internal lock, so a rotation can never tear a
 // batch: an ObserveBatch is attributed wholly to the epoch current when the
 // call starts. Windowed is therefore safe for concurrent use; for multi-core
-// scaling wrap it per shard — Sharded(Windowed(...)) — and advance all
-// shards together with Sharded.Rotate.
+// scaling wrap it per shard — Sharded(Windowed(...)), built without an
+// automatic boundary — and advance all shards together with Sharded.Rotate.
 //
-// The write path is the only lock domain: when the underlying estimator is
-// FreeBS or FreeRS, every read (Estimate, TotalDistinct, Users, NumUsers,
-// TopK over the window) is served from an atomically published
-// estimates-only snapshot — every live generation's per-user table forked
-// copy-on-write, logically frozen as one consistent (generations, epoch)
-// cut — so a long user enumeration never holds the ring lock, and a
-// rotation publishes the next epoch's snapshot set instead of quiescing
-// readers. See Snapshot for the mechanism and the freshness contract.
+// The write path is the only lock domain: every read (Estimate,
+// TotalDistinct, Users, NumUsers, TopK over the window) is served from an
+// atomically published estimates-only snapshot — every live generation's
+// per-user table forked copy-on-write, logically frozen as one consistent
+// (generations, epoch) cut — so a long user enumeration never holds the
+// ring lock, and a rotation publishes the next epoch's snapshot set instead
+// of quiescing readers. See Snapshot for the mechanism and the freshness
+// contract.
 //
-// When the underlying estimator is FreeBS or FreeRS, Windowed additionally
-// supports Users/NumUsers (so TopK and SpreaderDetector run on windows),
-// generation-wise Merge/Clone, and MarshalBinary/UnmarshalBinary
+// Windowed also supports Users/NumUsers (so TopK and SpreaderDetector run on
+// windows), generation-wise Merge/Clone, and MarshalBinary/UnmarshalBinary
 // checkpointing of all live generations plus the epoch bookkeeping.
 type Windowed struct {
 	build func() Estimator // nil-checked wrapper around the user's build
@@ -56,11 +55,6 @@ type Windowed struct {
 	cfg   windowedConfig
 	name  string
 
-	// canSnap reports whether the generations support O(1) copy-on-write
-	// snapshots (FreeBS/FreeRS). When true, every read routes through the
-	// published snapshot below instead of holding the ring lock for the
-	// duration of the read.
-	canSnap bool
 	// pub is the published snapshot: a frozen *Windowed stamped with the
 	// ring version it was taken at. Readers reuse it while the stamp still
 	// matches ring.Version() (one atomic load, no lock) and refresh it —
@@ -69,16 +63,11 @@ type Windowed struct {
 	// reads on views resolve in one hop.
 	pub atomic.Pointer[windowedPub]
 
-	// frozen marks a view built by Snapshot or fullSnapshot: its ring never
-	// moves again, so the cross-generation user fold can be computed once
-	// and cached below. Clone assembles a Windowed from existing generations
-	// through the same adoptWindowed path but returns a mutable window, so
-	// the marker is set only where freeze constructs a view.
-	frozen bool
-	// foldOnce/fold cache userSums on frozen views: computed at most once
-	// per published view and served to every later analytics read of that
-	// view. A new publication is a new frozen view, so invalidation is
-	// automatic — the same pattern as ShardedView's cached merged union.
+	// foldOnce/fold cache userSums on frozen views (built by Snapshot or
+	// fullSnapshot; their ring never moves again): computed at most once
+	// per view and served to every later analytics read of that view. A
+	// new publication is a new frozen view, so invalidation is automatic —
+	// the same pattern as ShardedView's cached merged union.
 	foldOnce sync.Once
 	fold     *usertab.Table
 }
@@ -110,13 +99,15 @@ func WithGenerations(k int) WindowedOption {
 // WithRotateEveryEdges rotates automatically once an epoch has absorbed n
 // edges — the volume-driven policy. A batch that crosses the boundary is
 // attributed wholly to the epoch it started in; rotation happens after it.
+// NewSharded refuses windows built with it: a Sharded rotates its windows.
 func WithRotateEveryEdges(n uint64) WindowedOption {
 	return func(c *windowedConfig) { c.boundary = window.ByEdges{N: n} }
 }
 
 // WithRotateEvery rotates automatically once an epoch is d old — the
 // wall-time policy. The boundary is checked on every observation; call Tick
-// from a timer so epochs also end during traffic lulls.
+// from a timer so epochs also end during traffic lulls. NewSharded refuses
+// windows built with it, as with WithRotateEveryEdges.
 func WithRotateEvery(d time.Duration) WindowedOption {
 	return func(c *windowedConfig) { c.boundary = window.ByDuration{D: d} }
 }
@@ -152,8 +143,10 @@ func WithFoldStats(st *FoldStats) WindowedOption {
 	return func(c *windowedConfig) { c.foldStats = st }
 }
 
-// NewWindowed returns a windowed wrapper; build must return a fresh
-// estimator (it is called on construction and at every rotation). Example:
+// NewWindowed returns a windowed wrapper; build must return a fresh FreeBS
+// or FreeRS (it is called on construction and at every rotation, and
+// panics on any other estimator — so NewWindowed itself panics when the
+// first generation is not one). Example:
 //
 //	w := streamcard.NewWindowed(func() streamcard.Estimator {
 //	    return streamcard.NewFreeRS(1 << 22)
@@ -171,11 +164,14 @@ func NewWindowed(build func() Estimator, opts ...WindowedOption) *Windowed {
 
 func newWindowed(build func() Estimator, cfg windowedConfig) *Windowed {
 	wrapped := func() Estimator {
-		e := build()
-		if e == nil {
+		switch e := build(); e.(type) {
+		case *FreeBS, *FreeRS:
+			return e
+		case nil:
 			panic("streamcard: build returned nil estimator")
+		default:
+			panic(fmt.Sprintf("streamcard: Windowed generations must be FreeBS or FreeRS, not %s", e.Name()))
 		}
-		return e
 	}
 	w := &Windowed{build: wrapped, cfg: cfg}
 	w.ring = window.New(cfg.k, wrapped,
@@ -185,42 +181,26 @@ func newWindowed(build func() Estimator, cfg windowedConfig) *Windowed {
 	}
 	w.ring.View(func(live []Estimator) {
 		w.name = fmt.Sprintf("Windowed(%s,k=%d)", live[0].Name(), cfg.k)
-		w.canSnap = genSnapshottable(live[0])
 	})
 	return w
 }
 
-// genSnapshottable reports whether a generation supports O(1) copy-on-write
-// snapshots, without taking one (marking a fresh generation shared would
-// make its first write pay a pointless full-array copy).
-func genSnapshottable(e Estimator) bool {
-	switch e.(type) {
-	case *FreeBS, *FreeRS:
-		return true
-	}
-	return false
-}
-
-// forkFull returns a full copy-on-write fork of a snapshottable estimator
-// (FreeBS, FreeRS, or a Windowed over either). Unlike SnapshotView's
-// estimates-only view it keeps the array words, so MarshalBinary and Merge
-// work on it, and the writer pays one array copy on its next write. It
-// backs the full cuts that checkpoints and merged totals read
-// (Sharded.FullSnapshot). Callers have checked snapshottability.
+// forkFull returns a full copy-on-write fork of a FreeBS, a FreeRS, or a
+// Windowed over either. Unlike SnapshotView's estimates-only view it keeps
+// the array words, so MarshalBinary and Merge work on it, and the writer
+// pays one array copy on its next write. It backs the full cuts that
+// checkpoints and merged totals read (Sharded.FullSnapshot).
 func forkFull(e Estimator) Estimator {
 	switch t := e.(type) {
 	case *FreeBS:
 		return t.Snapshot()
 	case *FreeRS:
 		return t.Snapshot()
-	case *Windowed:
-		return t.fullSnapshot()
 	}
-	panic(fmt.Sprintf("streamcard: %s does not support snapshots", e.Name()))
+	return e.(*Windowed).fullSnapshot()
 }
 
-// forkView returns a generation's estimates-only view (Snapshotter). Callers
-// have checked genSnapshottable.
+// forkView returns a generation's estimates-only view (Snapshotter).
 func forkView(e Estimator) Estimator { return e.(Snapshotter).SnapshotView() }
 
 // adoptWindowed assembles a Windowed directly around existing generations —
@@ -232,7 +212,7 @@ func adoptWindowed(build func() Estimator, cfg windowedConfig, name string, gens
 	if err != nil {
 		return nil, err
 	}
-	w := &Windowed{build: build, ring: ring, cfg: cfg, name: name, canSnap: true}
+	w := &Windowed{build: build, ring: ring, cfg: cfg, name: name}
 	if cfg.onRetire != nil {
 		ring.OnRetire(cfg.onRetire)
 	}
@@ -241,12 +221,11 @@ func adoptWindowed(build func() Estimator, cfg windowedConfig, name string, gens
 
 // Snapshot returns an O(1), logically frozen, estimates-only view of the
 // whole window — every live generation's per-user table forked
-// copy-on-write plus its array statistics, and the epoch bookkeeping — or
-// nil when the underlying estimator does not support snapshots (CSE, vHLL,
-// per-user baselines). The view is itself a *Windowed, so every estimate
-// read (Estimate, TotalDistinct, Users, RangeUsers, NumUsers, TopK) works
-// on it unchanged and equals the live window's at the same instant bit for
-// bit, with no synchronization against ongoing ingestion. The view carries
+// copy-on-write plus its array statistics, and the epoch bookkeeping; it is
+// never nil. The view is itself a *Windowed, so every estimate read
+// (Estimate, TotalDistinct, Users, RangeUsers, NumUsers, TopK) works on it
+// unchanged and equals the live window's at the same instant bit for bit,
+// with no synchronization against ongoing ingestion. The view carries
 // no array words (see Snapshotter): MarshalBinary on it returns an error,
 // Merge from it reports ErrIncompatible, and Clone panics.
 // Checkpoint and merge the live Windowed instead, or a
@@ -269,9 +248,6 @@ func adoptWindowed(build func() Estimator, cfg windowedConfig, name string, gens
 // the shard lock, so the ring is uncontended — and publishes the result, so
 // serving-path readers never pay the refresh (see snapshot.go).
 func (w *Windowed) Snapshot() *Windowed {
-	if !w.canSnap {
-		return nil
-	}
 	if p := w.pub.Load(); p != nil && p.ver == w.ring.Version() {
 		return p.win
 	}
@@ -303,7 +279,6 @@ func (w *Windowed) Snapshot() *Windowed {
 // marks the generations' arrays shared, and the writer's next write copies
 // the current generation's array once (older generations are never written
 // again). Only the full cuts behind checkpoints and merged totals take it.
-// Callers have checked canSnap.
 func (w *Windowed) fullSnapshot() *Windowed {
 	var (
 		frozen *Windowed
@@ -330,10 +305,6 @@ func (w *Windowed) freeze(gens []Estimator, epoch, edges uint64, fork func(Estim
 	if err != nil {
 		return nil, err
 	}
-	// Mark the view frozen before publishing it: its ring never moves
-	// again, which is what licenses the per-view fold cache (userSums).
-	// Publication's atomic store orders the write.
-	frozen.frozen = true
 	// A view answers Snapshot with itself (its ring never moves), so reads
 	// routed through Snapshot resolve in one hop on views.
 	frozen.pub.Store(&windowedPub{win: frozen, ver: frozen.ring.Version()})
@@ -341,12 +312,7 @@ func (w *Windowed) freeze(gens []Estimator, epoch, edges uint64, fork func(Estim
 }
 
 // SnapshotView implements Snapshotter.
-func (w *Windowed) SnapshotView() Estimator {
-	if v := w.Snapshot(); v != nil {
-		return v
-	}
-	return nil
-}
+func (w *Windowed) SnapshotView() Estimator { return w.Snapshot() }
 
 // Observe implements Estimator (feeds the newest generation).
 func (w *Windowed) Observe(user, item uint64) {
@@ -364,12 +330,11 @@ func (w *Windowed) ObserveBatch(edges []Edge) {
 	w.ring.Feed(uint64(len(edges)), func(e Estimator) { e.ObserveBatch(edges) })
 }
 
-// Estimate implements Estimator: the sum over live generations. When the
-// underlying estimator supports snapshots, the sum is taken over the
-// published frozen view — the ring lock is held (if at all) only for the
-// O(k) snapshot refresh, never for the read itself.
+// Estimate implements Estimator: the sum over live generations, taken over
+// the published frozen view — the ring lock is held (if at all) only for
+// the O(k) snapshot refresh, never for the read itself.
 func (w *Windowed) Estimate(user uint64) float64 {
-	if v := w.Snapshot(); v != nil && v != w {
+	if v := w.Snapshot(); v != w {
 		return v.Estimate(user)
 	}
 	sum := 0.0
@@ -384,7 +349,7 @@ func (w *Windowed) Estimate(user uint64) float64 {
 // TotalDistinct implements Estimator (same windowed semantics and the same
 // snapshot routing as Estimate).
 func (w *Windowed) TotalDistinct() float64 {
-	if v := w.Snapshot(); v != nil && v != w {
+	if v := w.Snapshot(); v != w {
 		return v.TotalDistinct()
 	}
 	sum := 0.0
@@ -435,16 +400,13 @@ func (w *Windowed) LiveGenerations() int { return w.ring.Live() }
 
 // Users implements AnytimeEstimator: fn is called once per user with a
 // nonzero windowed estimate — the sum of that user's estimates across live
-// generations — in ascending user order. It requires the underlying
-// estimator to be an AnytimeEstimator (FreeBS or FreeRS) and panics
-// otherwise. Cost is O(users log users) time and O(users) memory (a flat
-// merge table plus its sort, since one user may appear in several
-// generations); RangeUsers skips the sort.
-// The per-user fold itself (O(users)) runs over the frozen view when
-// snapshots are available, holding no lock at all — a slow consumer of fn
-// can no longer stall ingestion.
+// generations — in ascending user order. Cost is O(users log users) time
+// and O(users) memory (a flat merge table plus its sort, since one user may
+// appear in several generations); RangeUsers skips the sort. The per-user
+// fold itself (O(users)) runs over the frozen view, holding no lock at all
+// — a slow consumer of fn cannot stall ingestion.
 func (w *Windowed) Users(fn func(user uint64, estimate float64)) {
-	if v := w.Snapshot(); v != nil && v != w {
+	if v := w.Snapshot(); v != w {
 		v.Users(fn)
 		return
 	}
@@ -456,7 +418,7 @@ func (w *Windowed) Users(fn func(user uint64, estimate float64)) {
 // sorted). The fold across generations still costs O(users); only Users'
 // sort is skipped.
 func (w *Windowed) RangeUsers(fn func(user uint64, estimate float64)) {
-	if v := w.Snapshot(); v != nil && v != w {
+	if v := w.Snapshot(); v != w {
 		v.RangeUsers(fn)
 		return
 	}
@@ -467,7 +429,7 @@ func (w *Windowed) RangeUsers(fn func(user uint64, estimate float64)) {
 // estimate in any live generation. Costs a full O(users) generation fold;
 // UserEntries is the O(k) upper bound for cheap occupancy gauges.
 func (w *Windowed) NumUsers() int {
-	if v := w.Snapshot(); v != nil && v != w {
+	if v := w.Snapshot(); v != w {
 		return v.NumUsers()
 	}
 	return w.userSums().Len()
@@ -478,7 +440,6 @@ func (w *Windowed) NumUsers() int {
 // so this is an upper bound on NumUsers that costs O(k) map-length reads
 // instead of NumUsers' O(users) merge map. Occupancy gauges scraped every
 // few seconds want this reading; exact distinct-user counts want NumUsers.
-// Same AnytimeEstimator requirement as Users.
 // Deliberately NOT snapshot-routed: the whole point of this reading is
 // that a periodic scrape costs O(k) counter loads — forcing a snapshot
 // refresh here would make every scrape re-mark the live arrays shared and
@@ -487,11 +448,7 @@ func (w *Windowed) UserEntries() int {
 	total := 0
 	w.ring.View(func(live []Estimator) {
 		for _, g := range live {
-			a, ok := g.(AnytimeEstimator)
-			if !ok {
-				panic(fmt.Sprintf("streamcard: Windowed.UserEntries needs an AnytimeEstimator underlying (FreeBS/FreeRS), not %s", g.Name()))
-			}
-			total += a.NumUsers()
+			total += g.(AnytimeEstimator).NumUsers()
 		}
 	})
 	return total
@@ -506,17 +463,13 @@ func (w *Windowed) foldStatsOut() *FoldStats {
 	return &defaultFoldStats
 }
 
-// userSums returns the window's merged per-user estimate table. On a frozen
-// view (the only place analytics reads land once snapshots are published —
-// Users/RangeUsers/NumUsers route through Snapshot) the fold is computed at
-// most once and cached for the view's lifetime: repeated analytics queries
-// within one publication epoch re-fold nothing, and the next publication is
-// a new view, so invalidation is automatic. Mutable windows fold fresh —
-// their ring can move under them.
+// userSums returns a frozen view's merged per-user estimate table — only
+// views reach it, since Users/RangeUsers/NumUsers on a live window route
+// through Snapshot. The fold is computed at most once and cached for the
+// view's lifetime: repeated analytics queries within one publication epoch
+// re-fold nothing, and the next publication is a new view, so invalidation
+// is automatic.
 func (w *Windowed) userSums() *usertab.Table {
-	if !w.frozen {
-		return w.computeUserSums()
-	}
 	hit := true
 	w.foldOnce.Do(func() {
 		w.runFold()
@@ -531,13 +484,8 @@ func (w *Windowed) userSums() *usertab.Table {
 // warmFold populates a frozen view's fold cache if it is still cold,
 // counting a compute but never a hit — the shard-concurrent fan-out uses it
 // to move fold work onto pool goroutines; the query that follows does the
-// counted read. No-op on mutable windows, which have no cache.
-func (w *Windowed) warmFold() {
-	if !w.frozen {
-		return
-	}
-	w.foldOnce.Do(w.runFold)
-}
+// counted read.
+func (w *Windowed) warmFold() { w.foldOnce.Do(w.runFold) }
 
 // runFold executes the fold under foldOnce.
 func (w *Windowed) runFold() {
@@ -556,11 +504,7 @@ func (w *Windowed) computeUserSums() *usertab.Table {
 	w.ring.View(func(live []Estimator) {
 		entries := 0
 		for _, g := range live {
-			a, ok := g.(AnytimeEstimator)
-			if !ok {
-				panic(fmt.Sprintf("streamcard: Windowed.Users needs an AnytimeEstimator underlying (FreeBS/FreeRS), not %s", g.Name()))
-			}
-			entries += a.NumUsers()
+			entries += g.(AnytimeEstimator).NumUsers()
 		}
 		merged = usertab.NewWithCapacity(entries)
 		for _, g := range live {
@@ -574,12 +518,12 @@ func (w *Windowed) computeUserSums() *usertab.Table {
 // generations summarizes the union of the corresponding epoch's streams;
 // other is unchanged. Both windows must have the same generation count and
 // be at the same epoch (ErrIncompatible otherwise — merging sketches of
-// different epochs would blend different time ranges), their underlying
-// estimators must be mergeable (FreeBS or FreeRS) and built with identical
-// parameters, and both should be quiescent (no concurrent ingestion) for
-// the duration of the call. An estimates-only view from Snapshot holds no
-// arrays to union: as other it reports ErrIncompatible. On error w is
-// unchanged.
+// different epochs would blend different time ranges), their generations
+// must be built with identical parameters, and both should be quiescent (no
+// concurrent ingestion) for the duration of the call. An estimates-only
+// view from Snapshot holds no arrays to union: as other it reports
+// ErrIncompatible. The fold runs on a clone of w that replaces w's state
+// only on success, so on error w is unchanged.
 func (w *Windowed) Merge(other *Windowed) error {
 	if other == nil {
 		return fmt.Errorf("streamcard: Windowed.Merge(nil): %w", ErrIncompatible)
@@ -587,37 +531,22 @@ func (w *Windowed) Merge(other *Windowed) error {
 	if other == w {
 		return fmt.Errorf("streamcard: Windowed.Merge with itself: %w", ErrIncompatible)
 	}
-	if w.Generations() != other.Generations() {
-		return fmt.Errorf("streamcard: windows with k=%d vs k=%d: %w",
-			w.Generations(), other.Generations(), ErrIncompatible)
+	merged := w.Clone()
+	if err := merged.foldFrom(other); err != nil {
+		return err
 	}
-	mine, myEpoch, myEdges := w.ring.Snapshot()
-	theirs, otherEpoch, otherEdges := other.ring.Snapshot()
-	if myEpoch != otherEpoch {
-		return fmt.Errorf("streamcard: windows at epoch %d vs %d: %w", myEpoch, otherEpoch, ErrIncompatible)
-	}
-	// Merge into clones and adopt the result atomically: a failure on any
-	// generation (e.g. mismatched seeds) leaves the receiver untouched.
-	merged := make([]Estimator, len(mine))
-	for i := range mine {
-		g, err := mergeGeneration(mine[i], theirs[i])
-		if err != nil {
-			return fmt.Errorf("streamcard: window generation %d: %w", i, err)
-		}
-		merged[i] = g
-	}
-	return w.ring.Adopt(merged, myEpoch, myEdges+otherEdges)
+	gens, epoch, edges := merged.ring.Snapshot()
+	_, _, otherEdges := other.ring.Snapshot()
+	return w.ring.Adopt(gens, epoch, edges+otherEdges)
 }
 
-// foldFrom folds other's generations into w in place — the fast path
-// behind Sharded.TotalDistinctMerged, whose accumulator is a private clone
-// nobody else references: it needs none of Merge's failure atomicity (on
-// error the whole accumulator is discarded) and must not pay Merge's
-// clone-of-every-generation per fold, which on a k-generation window would
-// copy the accumulator k times per shard. Same compatibility rules as
-// Merge: equal generation counts, equal epochs, mergeable generations
-// built with identical parameters. other must be quiescent (a frozen
-// full-cut view); w must be private to the caller.
+// foldFrom folds other's generations into w in place: equal generation
+// counts, equal epochs, and generations of one type built with identical
+// parameters (ErrIncompatible otherwise). It needs no failure atomicity, so
+// callers fold into a private clone — Merge adopts the clone on success,
+// and Sharded.TotalDistinctMerged folds every shard into one accumulator
+// without paying a clone per fold. other must be quiescent (a frozen
+// full-cut view).
 func (w *Windowed) foldFrom(other *Windowed) error {
 	if w.Generations() != other.Generations() {
 		return fmt.Errorf("streamcard: windows with k=%d vs k=%d: %w",
@@ -639,66 +568,28 @@ func (w *Windowed) foldFrom(other *Windowed) error {
 func foldGen(mine, theirs Estimator) error {
 	switch m := mine.(type) {
 	case *FreeBS:
-		o, ok := theirs.(*FreeBS)
-		if !ok {
-			return fmt.Errorf("generation types %s vs %s: %w", mine.Name(), theirs.Name(), ErrIncompatible)
+		if o, ok := theirs.(*FreeBS); ok {
+			return m.Merge(o)
 		}
-		return m.Merge(o)
 	case *FreeRS:
-		o, ok := theirs.(*FreeRS)
-		if !ok {
-			return fmt.Errorf("generation types %s vs %s: %w", mine.Name(), theirs.Name(), ErrIncompatible)
+		if o, ok := theirs.(*FreeRS); ok {
+			return m.Merge(o)
 		}
-		return m.Merge(o)
-	default:
-		return fmt.Errorf("%s generations are not mergeable: %w", mine.Name(), ErrIncompatible)
 	}
-}
-
-func mergeGeneration(mine, theirs Estimator) (Estimator, error) {
-	switch m := mine.(type) {
-	case *FreeBS:
-		return mergeGen(m, theirs)
-	case *FreeRS:
-		return mergeGen(m, theirs)
-	default:
-		return nil, fmt.Errorf("%s generations are not mergeable: %w", mine.Name(), ErrIncompatible)
-	}
-}
-
-// mergeGen clones m and folds the matching-typed theirs into the clone — the
-// same clone-then-fold shape as mergeViewsTyped, written once over the
-// shared mergeable constraint.
-func mergeGen[T interface {
-	Estimator
-	mergeable[T]
-}](m T, theirs Estimator) (Estimator, error) {
-	o, ok := theirs.(T)
-	if !ok {
-		return nil, fmt.Errorf("generation types %s vs %s: %w", m.Name(), theirs.Name(), ErrIncompatible)
-	}
-	c := m.Clone()
-	if err := c.Merge(o); err != nil {
-		return nil, err
-	}
-	return c, nil
+	return fmt.Errorf("generation types %s vs %s: %w", mine.Name(), theirs.Name(), ErrIncompatible)
 }
 
 // Clone returns an independent deep copy of w: same configuration, every
-// live generation cloned, epoch bookkeeping preserved. It requires a
-// cloneable underlying estimator (FreeBS or FreeRS) and panics otherwise,
-// and on an estimates-only view from Snapshot, which has no arrays to copy.
+// live generation cloned, epoch bookkeeping preserved. It panics on an
+// estimates-only view from Snapshot, which has no arrays to copy.
 func (w *Windowed) Clone() *Windowed {
 	gens, epoch, edges := w.ring.Snapshot()
 	clones := make([]Estimator, len(gens))
 	for i, g := range gens {
-		switch e := g.(type) {
-		case *FreeBS:
-			clones[i] = e.Clone()
-		case *FreeRS:
-			clones[i] = e.Clone()
-		default:
-			panic(fmt.Sprintf("streamcard: %s generations do not support Clone", g.Name()))
+		if b, ok := g.(*FreeBS); ok {
+			clones[i] = b.Clone()
+		} else {
+			clones[i] = g.(*FreeRS).Clone()
 		}
 	}
 	c, err := adoptWindowed(w.build, w.cfg, w.name, clones, epoch, edges)
@@ -709,19 +600,13 @@ func (w *Windowed) Clone() *Windowed {
 }
 
 // MarshalBinary serializes every live generation plus the epoch bookkeeping
-// through the versioned window envelope in internal/core. It requires the
-// underlying estimator to support checkpointing (FreeBS or FreeRS), and
-// fails on an estimates-only view from Snapshot, which has no array words
-// to write.
+// through the versioned window envelope in internal/core. It fails on an
+// estimates-only view from Snapshot, which has no array words to write.
 func (w *Windowed) MarshalBinary() ([]byte, error) {
 	gens, epoch, edges := w.ring.Snapshot()
 	payloads := make([][]byte, len(gens))
 	for i, g := range gens {
-		m, ok := g.(encoding.BinaryMarshaler)
-		if !ok {
-			return nil, fmt.Errorf("streamcard: %s does not support checkpointing", g.Name())
-		}
-		p, err := m.MarshalBinary()
+		p, err := g.(encoding.BinaryMarshaler).MarshalBinary()
 		if err != nil {
 			return nil, err
 		}
@@ -749,11 +634,7 @@ func (w *Windowed) UnmarshalBinary(data []byte) error {
 	gens := make([]Estimator, len(payloads))
 	for i, p := range payloads {
 		g := w.build()
-		u, ok := g.(encoding.BinaryUnmarshaler)
-		if !ok {
-			return fmt.Errorf("streamcard: %s does not support checkpointing", g.Name())
-		}
-		if err := u.UnmarshalBinary(p); err != nil {
+		if err := g.(encoding.BinaryUnmarshaler).UnmarshalBinary(p); err != nil {
 			return fmt.Errorf("streamcard: window generation %d: %w", i, err)
 		}
 		gens[i] = g

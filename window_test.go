@@ -376,11 +376,8 @@ func TestWindowedMergeClone(t *testing.T) {
 	if err := a.Merge(d); !errors.Is(err, ErrIncompatible) {
 		t.Fatalf("k mismatch: %v", err)
 	}
-	e1 := NewWindowed(func() Estimator { return NewCSE(1<<12, 64) })
-	e2 := NewWindowed(func() Estimator { return NewCSE(1<<12, 64) })
-	if err := e1.Merge(e2); !errors.Is(err, ErrIncompatible) {
-		t.Fatalf("non-mergeable underlying: %v", err)
-	}
+	// A non-mergeable underlying estimator is refused at construction.
+	mustPanic(t, func() { NewWindowed(func() Estimator { return NewCSE(1<<12, 64) }) })
 	// Mismatched seeds surface the inner sketch's incompatibility, and the
 	// receiver is untouched (merge-into-clones is atomic).
 	f := NewWindowed(func() Estimator { return NewFreeRS(1<<18, WithSeed(99)) }, WithGenerations(3))
@@ -424,9 +421,9 @@ func TestWindowedPanics(t *testing.T) {
 		return NewFreeBS(64)
 	})
 	mustPanic(t, w.Rotate)
-	// Users on a non-anytime underlying estimator is a usage error.
-	cse := NewWindowed(func() Estimator { return NewCSE(1<<12, 64) })
-	mustPanic(t, func() { cse.Users(func(uint64, float64) {}) })
+	// A non-anytime underlying estimator is a usage error, caught at
+	// construction.
+	mustPanic(t, func() { NewWindowed(func() Estimator { return NewCSE(1<<12, 64) }) })
 }
 
 // TestWindowedRotateObserveRace is the -race regression test for the
