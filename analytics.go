@@ -10,8 +10,8 @@ package streamcard
 //     therefore decomposes exactly: the global top k is contained in the
 //     union of per-shard top k's, a user count is the sum of per-shard
 //     counts, and no cross-shard reconciliation is ever needed.
-//   - Analytics reads run on immutable published snapshots (ShardedView
-//     assembles frozen per-shard views), so the per-shard work is lock-free
+//   - Analytics reads run on immutable published snapshots (a ShardedView
+//     holds one frozen view per shard), so the per-shard work is lock-free
 //     and touches no writer state.
 //
 // This file fans that per-shard work out over a bounded worker pool sized to
@@ -124,7 +124,7 @@ func mergeTopK(per [][]Spreader, k int) []Spreader {
 // Already-cached folds make this a near-free atomic check per shard;
 // non-windowed shard views have no cross-generation fold to warm.
 func (v *ShardedView) prepareFolds() {
-	if !v.windowed {
+	if _, ok := v.views[0].(*Windowed); !ok {
 		return
 	}
 	forEachShard(len(v.views), func(i int) {

@@ -3,15 +3,16 @@
 // same shape cardserved runs — with zero versus N concurrent query
 // goroutines, plus query latency percentiles for the query mix a monitor
 // actually issues (point estimates, top-k, anytime and merged totals, user
-// counts). Because the write path publishes each shard's copy-on-write
-// snapshot as it releases the shard lock, queries assemble views from
-// atomic loads alone: ingest throughput under query load should sit within
-// a few percent of the query-free baseline AND query latency should stay
-// in the microseconds even while 65k-edge batches are absorbing; the JSON
-// this tool emits (BENCH_query.json, uploaded by CI next to
-// BENCH_core.json) tracks both per commit. Percentiles are only reported
-// for kinds with at least minSamples observations (too_few_samples flags
-// the rest) so a 2-sample p99 can never gate anything.
+// counts). Because the write path publishes the stack's whole view — a
+// copy with the written shard's fresh fork swapped in — before it releases
+// the shard lock, a query reads its view with one atomic load: ingest
+// throughput under query load should sit within a few percent of the
+// query-free baseline AND query latency should stay in the microseconds
+// even while 65k-edge batches are absorbing; the JSON this tool emits
+// (BENCH_query.json, uploaded by CI next to BENCH_core.json) tracks both
+// per commit. Percentiles are only reported for kinds with at least
+// minSamples observations (too_few_samples flags the rest) so a 2-sample
+// p99 can never gate anything.
 //
 // A separate wire phase compares the two ingest protocols end to end —
 // decode a pre-encoded request body and absorb the batch — for the text
@@ -188,10 +189,11 @@ type Result struct {
 	WALAlwaysOverheadPct   float64 `json:"wal_always_overhead_pct"`
 
 	// Snapshot publication cost: bytes allocated by one Snapshot call on a
-	// loaded stack after a write made the published view stale, at the
-	// configured sketch size and at 4x it. O1OK asserts both are small and
-	// size-independent (the copy-on-write contract: publication never
-	// copies the arrays; the writer pays its lazy copy outside the call).
+	// loaded stack right after a write (which already published the new
+	// view), at the configured sketch size and at 4x it. O1OK asserts both
+	// are small and size-independent (the copy-on-write contract:
+	// publication never copies the arrays; the writer pays its lazy copy
+	// outside the call).
 	SnapshotPublishBytes   float64 `json:"snapshot_publish_bytes"`
 	SnapshotPublishBytes4x float64 `json:"snapshot_publish_bytes_4x"`
 	SnapshotPublishO1OK    bool    `json:"snapshot_publish_o1_ok"`
@@ -1303,14 +1305,14 @@ func runPhase(cfg phaseConfig, batches [][]streamcard.Edge, queriers int) (edges
 	return float64(ingested.Load()) / elapsed, lat, queries
 }
 
-// snapshotPublishBytes measures the allocation cost of assembling a view:
-// a single-user write dirties the stack, then the Snapshot call — and only
-// it — is bracketed by allocation readings. With writer-side publication
-// armed (the warm-up Snapshot in round one arms it), the write itself
-// publishes the shard's fresh snapshot and pays the lazy copy-on-write
-// detach, both inside the write and outside the bracket — so the bracket
-// isolates exactly what a reader pays, which the cost model says is
-// assembly of already-published pointers: small and size-independent.
+// snapshotPublishBytes measures the allocation cost of reading a view: a
+// single-user write dirties the stack, then the Snapshot call — and only
+// it — is bracketed by allocation readings. The first round's Snapshot arms
+// publication with a cut under every shard lock, a cost amortized over the
+// rounds; after it, the write itself publishes the new view and pays the
+// lazy copy-on-write detach, both inside the write and outside the bracket
+// — so the bracket isolates exactly what a reader pays, which the cost
+// model says is one atomic load: small and size-independent.
 func snapshotPublishBytes(mbits, shards, gens int) float64 {
 	s := buildStack(mbits, shards, gens)
 	for _, b := range makeBatches(200_000, 8192, 100_000, 3) {

@@ -53,13 +53,13 @@
 // rotations (each one sees a single consistent epoch, never a torn
 // pre/post-rotation mix).
 //
-// Time advances by wall-clock epoch rotation (Config.Epoch) fanned out
-// through Sharded.Rotate, which publishes each shard's next-epoch snapshot
-// as it goes, so all shards always sit at the same epoch. The full
-// windowed state checkpoints periodically (and always on graceful
-// shutdown) to a spool directory as an atomically-written file; a
-// restarted daemon restores it and resumes in bit-identical lockstep with
-// an uninterrupted twin.
+// Time advances by wall-clock epoch rotation (Config.Epoch) through
+// Sharded.Rotate, which rotates every shard under all the shard locks and
+// publishes the next epoch's view whole, so all shards always sit at the
+// same epoch. The full windowed state checkpoints periodically (and always
+// on graceful shutdown) to a spool directory as an atomically-written
+// file; a restarted daemon restores it and resumes in bit-identical
+// lockstep with an uninterrupted twin.
 //
 // # The ack contract
 //
@@ -889,14 +889,6 @@ func (s *Server) checkpointLoop() {
 	}
 }
 
-// view returns the stack's current published snapshot: one epoch-consistent
-// estimates-only cut across every shard. All query handlers and gauges read
-// from it; none of them take any sketch lock. (The merged /total and the
-// checkpoint writer need the array words and take a full cut instead.)
-func (s *Server) view() *streamcard.ShardedView {
-	return s.sh.Snapshot()
-}
-
 // Checkpoint freezes the full windowed state of every shard from a
 // Sharded.FullSnapshot cut (one epoch; each shard a valid frozen prefix of
 // its own sub-stream, arrays included) and writes it atomically to the
@@ -1272,7 +1264,7 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	est := s.view().Estimate(u)
+	est := s.sh.Snapshot().Estimate(u)
 	var buf [64]byte
 	b := append(buf[:0], `{"user":`...)
 	b = strconv.AppendUint(b, u, 10)
@@ -1308,7 +1300,7 @@ func (s *Server) handleTotal(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "bad method %q: want summed or merged", method)
 		return
 	}
-	v := s.view()
+	v := s.sh.Snapshot()
 	var total float64
 	if method == "merged" {
 		start := time.Now()
@@ -1343,7 +1335,7 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 	}
 	// TopK delegates to the view's shard-concurrent selection (TopKer).
 	start := time.Now()
-	top := streamcard.TopK(s.view(), k)
+	top := streamcard.TopK(s.sh.Snapshot(), k)
 	s.observeAnalytics("topk", start)
 	type entry struct {
 		User     uint64  `json:"user"`
@@ -1385,7 +1377,7 @@ func (s *Server) handleUsers(w http.ResponseWriter, r *http.Request) {
 	}
 	if limit == 0 {
 		start := time.Now()
-		n := s.view().NumUsers()
+		n := s.sh.Snapshot().NumUsers()
 		s.observeAnalytics("numusers", start)
 		writeJSON(w, http.StatusOK, map[string]any{
 			"users": []any{}, "count": n, "truncated": n > 0,
@@ -1411,7 +1403,7 @@ func (s *Server) handleUsers(w http.ResponseWriter, r *http.Request) {
 	// Timed around the enumeration: the fold pre-warm and sorted stream
 	// dominate; encoding rides inside fn but is a few appends per user.
 	start := time.Now()
-	s.view().Users(func(u uint64, e float64) {
+	s.sh.Snapshot().Users(func(u uint64, e float64) {
 		if limit < 0 || count < limit {
 			if count > 0 {
 				bw.WriteByte(',')

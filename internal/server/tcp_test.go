@@ -205,13 +205,13 @@ func TestTCPBadPayloadAcks400AndResyncs(t *testing.T) {
 		}
 	}
 	s.Drain()
-	if got := s.view().Estimate(1); !approxCard(got, 2) {
+	if got := s.sh.Snapshot().Estimate(1); !approxCard(got, 2) {
 		t.Fatalf("user 1 estimate %v, want ~2", got)
 	}
-	if got := s.view().Estimate(9); got != 0 {
+	if got := s.sh.Snapshot().Estimate(9); got != 0 {
 		t.Fatalf("rejected frame leaked: user 9 estimate %v", got)
 	}
-	if got := s.view().Estimate(2); !approxCard(got, 1) {
+	if got := s.sh.Snapshot().Estimate(2); !approxCard(got, 1) {
 		t.Fatalf("user 2 estimate %v, want ~1", got)
 	}
 }
@@ -239,7 +239,7 @@ func TestTCPCorruptHeaderClosesWithoutMisack(t *testing.T) {
 	}
 	c.expectEOF()
 	s.Drain()
-	if got := s.view().Estimate(6); got != 0 {
+	if got := s.sh.Snapshot().Estimate(6); got != 0 {
 		t.Fatalf("frame after corrupt header absorbed: estimate %v", got)
 	}
 }
@@ -298,7 +298,7 @@ func TestTCPClientHalfCloseDrains(t *testing.T) {
 		exact[e.User][e.Item] = true
 	}
 	for u, items := range exact {
-		if got := s.view().Estimate(u); !approxCard(got, float64(len(items))) {
+		if got := s.sh.Snapshot().Estimate(u); !approxCard(got, float64(len(items))) {
 			t.Fatalf("user %d: estimate %v, want ~%d", u, got, len(items))
 		}
 	}
@@ -329,7 +329,7 @@ func TestTCPServerCloseAcksInFlight(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.expectEOF()
-	if got := s.view().Estimate(77); !approxCard(got, frames) {
+	if got := s.sh.Snapshot().Estimate(77); !approxCard(got, frames) {
 		t.Fatalf("estimate %v after close, want ~%d (every acked frame absorbed)", got, frames)
 	}
 	// New listeners are refused outright.
@@ -362,7 +362,7 @@ func TestTCPWALDurability(t *testing.T) {
 	}
 	want := make(map[uint64]float64)
 	s.Drain()
-	s.view().Users(func(u uint64, e float64) { want[u] = e })
+	s.sh.Snapshot().Users(func(u uint64, e float64) { want[u] = e })
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -377,7 +377,7 @@ func TestTCPWALDurability(t *testing.T) {
 		t.Fatalf("replayed %d records / %d edges, want all %d edges", records, replayed, len(edges))
 	}
 	got := 0
-	re.view().Users(func(u uint64, e float64) {
+	re.sh.Snapshot().Users(func(u uint64, e float64) {
 		if want[u] != e {
 			t.Fatalf("user %d: replayed %v, want %v", u, e, want[u])
 		}

@@ -317,9 +317,9 @@ func TestServerWALOffHotPathAllocs(t *testing.T) {
 		}
 	})
 	// Today's steady-state path costs a handful of allocations (the batch
-	// tracker, the waiter channel, snapshot publication); the bound has
-	// headroom for noise but fails loudly if the WAL-off path ever grows a
-	// per-batch buffer or log hop.
+	// tracker, the waiter channel; nothing arms publication here, so the
+	// absorb publishes nothing); the bound has headroom for noise but fails
+	// loudly if the WAL-off path ever grows a per-batch buffer or log hop.
 	const maxAllocs = 12
 	if allocs > maxAllocs {
 		t.Fatalf("WAL-off submit allocates %.1f/op, want <= %d", allocs, maxAllocs)

@@ -79,7 +79,7 @@ func TestServerBinaryIngestRefusesCorruptFrame(t *testing.T) {
 	if !strings.Contains(body, "checksum") {
 		t.Fatalf("corrupt-frame error does not mention the checksum: %s", body)
 	}
-	if got := s.view().NumUsers(); got != 0 {
+	if got := s.sh.Snapshot().NumUsers(); got != 0 {
 		t.Fatalf("corrupt frame half-applied: %d users ingested", got)
 	}
 

@@ -31,15 +31,16 @@ import (
 // boundary, so Rotate alone advances their epochs, and it advances every
 // shard together: the stack always sits at one epoch.
 //
-// Reads are snapshot-isolated: every query method is served from an
-// atomically published, epoch-consistent, estimates-only frozen view (see
-// Snapshot and ShardedView in snapshot.go), so queries, user enumerations
-// and top-k scans never hold the shard locks — the write path
-// (Observe/ObserveBatch/Rotate) is the only lock domain, and once a reader
-// exists it also publishes each shard's fresh snapshot as it releases the
-// lock, so queries stay fast (atomic loads) even while large batches are
-// absorbing. Checkpoints and the merged total read the array words, which
-// published views do not carry; they take a FullSnapshot cut, which
+// Reads are snapshot-isolated: the stack publishes one epoch-consistent,
+// estimates-only frozen view (ShardedView, see Snapshot in snapshot.go),
+// and every query method is served from it with one atomic load, so
+// queries, user enumerations and top-k scans never hold the shard locks.
+// The write path (Observe/ObserveBatch/Rotate) is the only lock domain, and
+// it keeps the view current: once the first Snapshot has armed
+// publication, each write swaps in a copy of the view with its own shard's
+// fresh fork before it releases the shard lock, and Rotate republishes the
+// next epoch whole. Checkpoints and the merged total read the array words,
+// which published views do not carry; they take a FullSnapshot cut, which
 // briefly holds every shard lock.
 type Sharded struct {
 	shards []shard
@@ -52,33 +53,19 @@ type Sharded struct {
 	// path through it yields bit-identical per-shard sub-streams.
 	part *stream.Partitioner
 
-	// readers arms writer-side snapshot publication; it is set (once, never
-	// cleared) by the first Snapshot call. While unset, writes skip the
-	// per-batch publish entirely — a pure-ingest stack (bulk load, spool
-	// replay, a benchmark's fill phase) pays nothing for a read path nobody
-	// is using. Correctness never depends on the flag: shardView's locked
-	// refresh covers any shard written before its publication was armed.
-	readers atomic.Bool
-	// set is the published epoch-consistent view of all shards; stale
-	// views (any shard's version moved on) are rebuilt incrementally by
-	// Snapshot.
+	// set is the published view; every query reads it with one atomic
+	// load. It stays nil until the first Snapshot arms publication, so a
+	// pure-ingest stack (bulk load, spool replay, a benchmark's fill phase)
+	// pays one atomic load per write for a read path nobody is using.
+	// Writers check it under their shard lock, and arming stores it under
+	// every shard lock, so no write can slip between the arming cut and
+	// publication.
 	set atomic.Pointer[ShardedView]
-	// rotMu serializes whole rotation fan-outs against the fully locked
-	// snapshot cut (lockedCut), so an all-locks view can never
-	// interleave a rotation and both sides stay deadlock-free by taking
-	// rotMu before any shard lock. The ingest paths never touch it.
-	rotMu sync.Mutex
 }
 
 type shard struct {
 	mu  sync.Mutex
 	est Estimator
-
-	// ver counts mutations (bumped under mu, read without it): the
-	// freshness stamp published snapshots are checked against.
-	ver atomic.Uint64
-	// snap is the shard's published frozen snapshot; nil until first use.
-	snap atomic.Pointer[shardSnap]
 }
 
 // NewSharded returns a sharded wrapper with n shards; build(i) must return
@@ -129,10 +116,6 @@ func checkShard(est Estimator) {
 	}
 }
 
-func (s *Sharded) shardFor(user uint64) *shard {
-	return &s.shards[s.ShardIndex(user)]
-}
-
 // ShardIndex returns the shard user's edges are routed to. Exported so
 // multi-node deployments can pre-partition traffic the same way (feeding a
 // shard-pure batch from one thread keeps that shard's sub-stream ordered and
@@ -142,21 +125,19 @@ func (s *Sharded) ShardIndex(user uint64) int {
 }
 
 // Observe implements Estimator; safe for concurrent use. Once a reader has
-// armed publication, the write publishes the shard's fresh snapshot before
-// releasing the lock, so concurrent queries never wait on the write path.
-// Publication forks only the per-user table, never the shared array, but
-// per-edge Observe on a stack that is being queried still makes that table
-// copy-on-write once per edge — the next write pays the detach copy — so
-// hot served stacks should ingest through ObserveBatch, which amortizes one
-// publication (and one detach) over the whole batch.
+// armed publication, the write publishes a view with the shard's fresh
+// fork before releasing the lock, so concurrent queries never wait on the
+// write path. Publication forks only the per-user table, never the shared
+// array, but per-edge Observe on a stack that is being queried still makes
+// that table copy-on-write once per edge — the next write pays the detach
+// copy — so hot served stacks should ingest through ObserveBatch, which
+// amortizes one publication (and one detach) over the whole batch.
 func (s *Sharded) Observe(user, item uint64) {
-	sh := s.shardFor(user)
+	t := s.ShardIndex(user)
+	sh := &s.shards[t]
 	sh.mu.Lock()
 	sh.est.Observe(user, item)
-	sh.ver.Add(1)
-	if s.readers.Load() {
-		sh.publishLocked()
-	}
+	s.publishShard(t)
 	sh.mu.Unlock()
 }
 
@@ -172,16 +153,10 @@ func (s *Sharded) ObserveBatch(edges []Edge) {
 	if len(edges) == 0 {
 		return
 	}
-	// With publication armed (a reader exists), every touched shard's fresh
-	// snapshot is published before its lock is released — the inversion that
-	// keeps query latency flat under batch ingest: a reader assembling a
-	// view mid-batch finds current snapshots waiting instead of queueing
-	// behind the absorb for a locked refresh.
-	pub := s.readers.Load()
 	b := s.part.Split(edges)
 	for t := range s.shards {
 		if sub := b.Shard(t); len(sub) > 0 {
-			s.absorbShard(t, sub, pub)
+			s.absorbShard(t, sub)
 		}
 	}
 	b.Release()
@@ -207,19 +182,18 @@ func (s *Sharded) ObserveShardBatch(idx int, edges []Edge) {
 	if len(edges) == 0 {
 		return
 	}
-	s.absorbShard(idx, edges, s.readers.Load())
+	s.absorbShard(idx, edges)
 }
 
-// absorbShard feeds one shard-pure sub-batch to shard t under its lock,
-// publishing the shard's fresh snapshot before release when pub is set.
-func (s *Sharded) absorbShard(t int, sub []Edge, pub bool) {
+// absorbShard feeds one shard-pure sub-batch to shard t under its lock and,
+// with publication armed, publishes the shard's fresh fork before release —
+// so a query issued mid-batch reads the last published view instead of
+// queueing behind the absorb.
+func (s *Sharded) absorbShard(t int, sub []Edge) {
 	sh := &s.shards[t]
 	sh.mu.Lock()
 	sh.est.ObserveBatch(sub)
-	sh.ver.Add(1)
-	if pub {
-		sh.publishLocked()
-	}
+	s.publishShard(t)
 	sh.mu.Unlock()
 }
 
@@ -285,42 +259,35 @@ type Rotator interface {
 	Rotate()
 }
 
-// Rotate advances every shard's window by one epoch, taking each shard's
-// lock as it goes — the same one-lock-per-shard discipline as ingestion, so
-// a rotation never tears a concurrent ObserveBatch (the batch's shard lock
-// holds the rotation off until the batch is fully absorbed, and the batch is
-// attributed to the epoch it started in). The shards rotate only here, so
-// all of them end the call at the same epoch, which is also what keeps
-// concurrent runs bit-identical to a sequential twin rotated at the same
-// stream positions. It panics, before touching any shard, if the shards are
-// not Windowed.
+// Rotate advances every shard's window by one epoch. It takes every shard
+// lock in ascending order — the one order of every path that holds more
+// than one — so a rotation never tears a concurrent ObserveBatch (the
+// batch's shard lock holds the rotation off until the batch is fully
+// absorbed, and the batch is attributed to the epoch it started in). The
+// shards rotate only here, so all of them end the call at the same epoch,
+// which is also what keeps concurrent runs bit-identical to a sequential
+// twin rotated at the same stream positions. With publication armed, the
+// next epoch's view is published whole before the locks are released, so
+// every published view freezes one epoch and no reader ever waits on a
+// rotation. It panics, before touching any shard, if the shards are not
+// Windowed.
 //
-// Rotation publishes instead of quiescing: each shard's fresh snapshot
-// (the new epoch) is published while its lock is still held, and readers
-// assembling a cross-shard view mid-fan-out simply retry until every shard
-// reports the same epoch (Snapshot) — no reader is ever blocked for the
-// whole fan-out. The fan-out runs under rotMu so the fully locked snapshot
-// cut can exclude it.
+// The trade-off: a rotation waits for the in-flight absorb on each shard
+// while holding the locks it already has, so concurrent library writers
+// wait for the rotation rather than readers. The server quiesces its
+// ingest pipeline before it rotates, so there those waits are empty.
 func (s *Sharded) Rotate() {
 	if _, ok := s.shards[0].est.(Rotator); !ok {
 		panic(fmt.Sprintf("streamcard: %s shards do not rotate (wrap a Windowed estimator)", s.shards[0].est.Name()))
 	}
-	s.rotMu.Lock()
-	defer s.rotMu.Unlock()
+	s.lockAll()
+	defer s.unlockAll()
 	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		sh.est.(Rotator).Rotate()
-		sh.ver.Add(1)
-		sh.publishLocked()
-		sh.mu.Unlock()
+		s.shards[i].est.(Rotator).Rotate()
 	}
-	// Drop the assembled pre-rotation view: it references every shard's
-	// pre-rotation generations — including the ones this rotation just
-	// retired — and nothing else would release them until the next query
-	// happened to republish. The next Snapshot reassembles from the
-	// per-shard snapshots published above.
-	s.set.Store(nil)
+	if s.set.Load() != nil {
+		s.set.Store(s.cutLocked(forkView))
+	}
 }
 
 // Name implements Estimator.

@@ -1,96 +1,40 @@
 package streamcard
 
 // The sharded read path. Every query surface of Sharded — Estimate, totals,
-// user enumeration, top-k — is served from a ShardedView: a set of
-// per-shard frozen snapshots published through atomic pointers and
-// assembled into one epoch-consistent cut. Queries never hold the shard
-// locks: the write path (Observe, ObserveBatch, Rotate) publishes each
-// shard's fresh snapshot as it releases the shard lock, so view assembly is
-// pure atomic loads even while a 65k-edge batch is mid-absorb. (An earlier
-// design made the *reader* refresh a stale snapshot under the shard lock,
-// which queued every query issued during a large ObserveBatch behind the
-// whole batch — tens of milliseconds per query under continuous ingest.
-// That locked refresh survives only as shardView's fallback for shards that
-// were written before any reader existed.) This is the
+// user enumeration, top-k — is served from a ShardedView: one frozen
+// estimates-only fork per shard, published as a whole through one atomic
+// pointer. A query is one atomic load; it never assembles, retries or
+// locks. The writers keep the view current instead: a write forks its own
+// shard under the shard lock it already holds and compare-and-swaps in a
+// copy of the published view with that one slot replaced, so a query issued
+// while a 65k-edge batch is mid-absorb reads the view published before the
+// batch and never queues behind it. (An earlier design made the *reader*
+// refresh stale per-shard snapshots under the shard locks, which queued
+// every query issued during a large ObserveBatch behind the whole batch —
+// tens of milliseconds per query under continuous ingest.) This is the
 // architecture time-series storage engines use for cardinality serving —
-// immutable snapshots so reads never stall writes — and it makes the write
-// path the only lock domain in the stack.
+// one read set of immutable per-shard sketches, so reads never stall
+// writes — and it makes the write path the only lock domain in the stack.
 //
-// Published snapshots are estimates-only (Snapshotter): each shard's
-// per-user table forked copy-on-write plus its array's maintained
-// statistics, never the array words, so publishing on every write costs
-// the writer no array copy. The two readers of array words — checkpoints
-// and the merged union total — take FullSnapshot, an unpublished cut of
-// full copy-on-write forks, at their own cadence.
+// Published forks are estimates-only (Snapshotter): each shard's per-user
+// table forked copy-on-write plus its array's maintained statistics, never
+// the array words, so publishing on every write costs the writer no array
+// copy. The two readers of array words — checkpoints and the merged union
+// total — take FullSnapshot, an unpublished cut of full copy-on-write
+// forks, at their own cadence.
 //
-// Consistency: a view's shards are always each a valid frozen prefix of
-// their own sub-stream (users partition across shards, so there is no
-// cross-shard ordering to tear), and when the shards are windowed the view
-// additionally freezes ONE epoch: assembly re-reads shards until all report
-// the same epoch, escalating after a few lock-free attempts to a fully
-// locked cut (all shard locks, ordered, under the same rotation mutex
-// Sharded.Rotate holds), so a rotation in flight can delay a query by
-// microseconds but can never leak a torn pre/post-rotation mix into it.
+// Consistency: each slot of a view is a valid frozen prefix of its own
+// shard's sub-stream (users partition across shards, so there is no
+// cross-shard ordering to tear), and every view freezes ONE epoch by
+// construction. A write swaps one slot while holding that shard's lock; a
+// rotation holds every shard lock, rotates all shards and publishes the
+// next epoch's view whole; so no write can publish a slot across a
+// rotation, and no view mixes epochs. Paths that hold more than one shard
+// lock (Rotate, the arming cut, FullSnapshot) take all of them in
+// ascending order, so they cannot deadlock each other or a writer, which
+// holds one.
 
-import (
-	"runtime"
-	"sync"
-)
-
-// shardSnap is one shard's published snapshot: a frozen estimator stamped
-// with the shard's mutation version, plus the window epoch it froze (when
-// the shard is windowed).
-type shardSnap struct {
-	view     AnytimeEstimator
-	ver      uint64
-	epoch    uint64
-	windowed bool
-}
-
-// publishLocked refreshes the shard's published snapshot, an
-// estimates-only view (Snapshotter): publishing it never makes the next
-// write copy the shard's array. Caller holds sh.mu. It is called by the
-// write path as it releases the lock (so readers find a fresh snapshot
-// waiting) and by shardView's fallback for shards written before
-// publication was armed.
-func (sh *shard) publishLocked() *shardSnap {
-	if p := sh.snap.Load(); p != nil && p.ver == sh.ver.Load() {
-		return p // already current — nothing was written since
-	}
-	p := sh.snapLocked(sh.est.(Snapshotter).SnapshotView())
-	sh.snap.Store(p)
-	return p
-}
-
-// snapLocked stamps a frozen fork of the shard with the shard's version
-// and, when the shard is windowed, the epoch the fork froze. Caller holds
-// sh.mu.
-func (sh *shard) snapLocked(view Estimator) *shardSnap {
-	p := &shardSnap{view: view.(AnytimeEstimator), ver: sh.ver.Load()}
-	if w, ok := view.(*Windowed); ok {
-		p.epoch = uint64(w.Epoch())
-		p.windowed = true
-	}
-	return p
-}
-
-// shardView returns shard i's current snapshot. On the serving path this is
-// one atomic load: the write path published a fresh snapshot as it released
-// the shard lock, so the stamp check succeeds even while another batch is
-// absorbing. The locked refresh below is the fallback for a shard written
-// before any reader armed publication (Sharded.Snapshot arms it on first
-// use), and costs one brief lock hold; the snapshot itself is an O(1)
-// estimates-only fork either way, with the writer paying the lazy per-user
-// table copy on its next write.
-func (s *Sharded) shardView(i int) *shardSnap {
-	sh := &s.shards[i]
-	if p := sh.snap.Load(); p != nil && p.ver == sh.ver.Load() {
-		return p
-	}
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return sh.publishLocked()
-}
+import "sync"
 
 // ShardedView is one epoch-consistent frozen cut across every shard — the
 // unit all sharded queries are answered from. It implements the full read
@@ -101,13 +45,6 @@ func (s *Sharded) shardView(i int) *shardSnap {
 type ShardedView struct {
 	parent *Sharded
 	views  []AnytimeEstimator
-	// snaps are the per-shard snapshots the view was assembled from, kept
-	// for the version-stamp freshness check; views duplicates their
-	// estimators so the read hot path skips one indirection.
-	snaps      []*shardSnap
-	epoch      uint64
-	windowed   bool
-	consistent bool
 
 	// The merged union total is cached on the view: repeated /total queries
 	// against the same published cut merge once. A new publication is a new
@@ -117,126 +54,78 @@ type ShardedView struct {
 	mergedErr  error
 }
 
-// fresh reports whether the view still reflects every shard's current
-// version.
-func (v *ShardedView) fresh(s *Sharded) bool {
-	for i, p := range v.snaps {
-		if p.ver != s.shards[i].ver.Load() {
-			return false
-		}
-	}
-	return true
-}
-
-// snapshotRetries is how many lock-free assembly attempts Snapshot makes
-// before escalating to the fully locked cut. A rotation fan-out completes
-// in microseconds, so lock-free retries almost always win first.
-const snapshotRetries = 4
-
-// Snapshot returns the current epoch-consistent view of all shards; it is
-// never nil. While no shard has been written, repeated calls return the
-// same published view — which is what makes the per-view caches (the merged
-// total) effective — and a call after a completed write always reflects it
-// (read-your-writes: the ?wait=1 ingestion contract).
+// Snapshot returns the stack's published view; it is never nil. Once
+// armed it is one atomic load, and it always reflects every write and
+// rotation that completed before the call (read-your-writes: the ?wait=1
+// ingestion contract). While no shard is written, repeated calls return the
+// same view — which is what makes the per-view caches (the merged total,
+// the window folds) effective. The first call arms publication: it takes a
+// cut under every shard lock, publishes it, and from then on every write
+// keeps the view current. Pure-ingest stacks (never queried) skip
+// publication entirely.
 func (s *Sharded) Snapshot() *ShardedView {
-	if !s.readers.Load() {
-		// First reader arms writer-side publication: from here on every
-		// write publishes its shard's fresh snapshot as it releases the
-		// lock, so assembly below is pure atomic loads. Pure-ingest stacks
-		// (never queried) skip publication entirely. The load-then-store
-		// keeps the common case a read of an already-set flag instead of a
-		// contended write.
-		s.readers.Store(true)
-	}
-	prev := s.set.Load()
-	if prev != nil && prev.fresh(s) {
-		return prev
-	}
-	for attempt := 0; attempt < snapshotRetries; attempt++ {
-		if v, ok := s.collect(); ok {
-			return s.publishView(prev, v)
-		}
-		runtime.Gosched() // a rotation is mid-fan-out; let it finish
-	}
-	// With rotations excluded, the lockstep stack settles on one epoch.
-	return s.publishView(prev, s.lockedCut((*shard).publishLocked))
-}
-
-// publishView installs v as the published cross-shard view, guarding
-// against the last-writer-wins race: two assemblers can both find the set
-// view stale, collect, and store — and with a plain Store the slower (and
-// possibly staler) assembler would overwrite the faster one's view,
-// discarding its cached merged total and, worse, publishing a cut that
-// predates writes the overwritten view already reflected. CompareAndSwap
-// against the prev pointer the assembler started from means only one of the
-// racers installs; the loser checks whether the winner's view is fresh and
-// adopts it, and otherwise returns its own view unpublished — v was
-// collected after the caller's own writes, so read-your-writes holds for
-// the caller either way, and no retry loop is needed (a livelock under
-// heavy write traffic, for a cache whose next reader rebuilds anyway).
-func (s *Sharded) publishView(prev, v *ShardedView) *ShardedView {
-	if s.set.CompareAndSwap(prev, v) {
+	if v := s.set.Load(); v != nil {
 		return v
 	}
-	if cur := s.set.Load(); cur != nil && cur.fresh(s) {
-		return cur
+	s.lockAll()
+	defer s.unlockAll()
+	v := s.set.Load()
+	if v == nil { // no other first reader armed it while this one waited
+		v = s.cutLocked(forkView)
+		s.set.Store(v)
 	}
 	return v
 }
 
-// assemble builds a view by reading each shard's snapshot through get,
-// tracking the windowed-epoch consistency bookkeeping shared by the
-// lock-free and fully locked assembly paths.
-func (s *Sharded) assemble(get func(i int) *shardSnap) *ShardedView {
-	n := len(s.shards)
-	v := &ShardedView{
-		parent:     s,
-		views:      make([]AnytimeEstimator, n),
-		snaps:      make([]*shardSnap, n),
-		consistent: true,
+// publishShard publishes shard t's fresh estimates-only fork: a copy of the
+// published view with slot t replaced. Unarmed, it is one atomic load.
+// Caller holds shard t's lock, so nothing else can move slot t meanwhile
+// (a rotation or cut would need that lock too); the CompareAndSwap retries
+// only past writers publishing other shards, and each retry keeps their
+// slots. A plain Store would let two writers on different shards each
+// publish a copy missing the other's write. Unwritten slots keep their view
+// objects, and with them their cached folds.
+func (s *Sharded) publishShard(t int) {
+	cur := s.set.Load()
+	if cur == nil {
+		return
 	}
-	first := true
-	for i := range s.shards {
-		p := get(i)
-		v.views[i], v.snaps[i] = p.view, p
-		if p.windowed {
-			v.windowed = true
-			if first {
-				v.epoch, first = p.epoch, false
-			} else if p.epoch != v.epoch {
-				v.consistent = false
-			}
+	fork := forkView(s.shards[t].est).(AnytimeEstimator)
+	next := &ShardedView{parent: s, views: make([]AnytimeEstimator, len(cur.views))}
+	for {
+		copy(next.views, cur.views)
+		next.views[t] = fork
+		if s.set.CompareAndSwap(cur, next) {
+			return
 		}
+		cur = s.set.Load()
 	}
-	return v
 }
 
-// collect assembles a view lock-free (per-shard fast paths; a brief shard
-// lock only where a shard's snapshot is stale). ok is false when windowed
-// shards reported different epochs — a rotation was caught mid-fan-out.
-func (s *Sharded) collect() (v *ShardedView, ok bool) {
-	v = s.assemble(s.shardView)
-	return v, v.consistent
-}
-
-// lockedCut assembles a view under the rotation mutex plus every shard
-// lock (ascending order — no other path holds two shard locks, so this
-// cannot deadlock), with get called under those locks: with rotations
-// excluded, the lockstep stack always yields one consistent epoch. It is
-// the cut behind both Snapshot's escalation and FullSnapshot, and waits at
-// most for the absorbs in flight.
-func (s *Sharded) lockedCut(get func(sh *shard) *shardSnap) *ShardedView {
-	s.rotMu.Lock()
-	defer s.rotMu.Unlock()
+// lockAll takes every shard lock in ascending order: the one lock order of
+// every path that holds more than one shard lock.
+func (s *Sharded) lockAll() {
 	for i := range s.shards {
 		s.shards[i].mu.Lock()
 	}
-	defer func() {
-		for i := range s.shards {
-			s.shards[i].mu.Unlock()
-		}
-	}()
-	return s.assemble(func(i int) *shardSnap { return get(&s.shards[i]) })
+}
+
+// unlockAll releases what lockAll took.
+func (s *Sharded) unlockAll() {
+	for i := range s.shards {
+		s.shards[i].mu.Unlock()
+	}
+}
+
+// cutLocked returns a view of fork applied to every shard. Caller holds
+// every shard lock, so the cut freezes one epoch and waited at most for the
+// absorbs that were in flight.
+func (s *Sharded) cutLocked(fork func(Estimator) Estimator) *ShardedView {
+	v := &ShardedView{parent: s, views: make([]AnytimeEstimator, len(s.shards))}
+	for i := range s.shards {
+		v.views[i] = fork(s.shards[i].est).(AnytimeEstimator)
+	}
+	return v
 }
 
 // FullSnapshot returns an unpublished cut across every shard whose forks
@@ -244,12 +133,15 @@ func (s *Sharded) lockedCut(get func(sh *shard) *shardSnap) *ShardedView {
 // never nil. Published views (Snapshot) are estimates-only; the two
 // readers of array words take this cut instead: a checkpoint, which
 // serializes the arrays, and ShardedView.TotalDistinctMerged, which unions
-// them. The cut runs under the rotation mutex and every shard lock, so it
-// waits at most for the absorbs in flight and always freezes one epoch.
-// Each shard then pays one array copy, on its next write to the current
-// generation; take the cut at checkpoint cadence, not per query.
+// them. The cut holds every shard lock (in ascending order) while the O(1)
+// forks are taken, so it waits at most for the absorbs in flight and always
+// freezes one epoch. Each shard then pays one array copy, on its next write
+// to the current generation; take the cut at checkpoint cadence, not per
+// query.
 func (s *Sharded) FullSnapshot() *ShardedView {
-	return s.lockedCut(func(sh *shard) *shardSnap { return sh.snapLocked(forkFull(sh.est)) })
+	s.lockAll()
+	defer s.unlockAll()
+	return s.cutLocked(forkFull)
 }
 
 // NumShards returns the number of per-shard views.
@@ -260,15 +152,14 @@ func (v *ShardedView) NumShards() int { return len(v.views) }
 // are estimates-only (see Snapshotter). Treat it as read-only.
 func (v *ShardedView) ShardView(i int) Estimator { return v.views[i] }
 
-// Epoch returns the window epoch this view froze (0 for non-windowed
-// shards). Meaningful when EpochConsistent reports true.
-func (v *ShardedView) Epoch() int { return int(v.epoch) }
-
-// EpochConsistent reports whether every windowed shard froze the same epoch
-// in this view. It holds for every view of a stack whose shards rotate only
-// through Sharded.Rotate, as NewSharded requires: assembly retries past a
-// rotation caught mid-fan-out.
-func (v *ShardedView) EpochConsistent() bool { return v.consistent }
+// Epoch returns the window epoch this view froze — every shard sits at it
+// — or 0 for non-windowed shards.
+func (v *ShardedView) Epoch() int {
+	if w, ok := v.views[0].(*Windowed); ok {
+		return w.Epoch()
+	}
+	return 0
+}
 
 // Observe implements Estimator; a view is read-only and panics.
 func (v *ShardedView) Observe(user, item uint64) {
@@ -353,8 +244,8 @@ func (v *ShardedView) NumUsers() int {
 // taken then: at least as fresh as the view, it may include writes that
 // landed after the view was published. The result is cached on the view:
 // as long as no shard is written, repeated calls pay one cut and one merge
-// in total. Taking the cut holds the rotation mutex and every shard lock
-// briefly, so the call must not run under them (a WithOnRetire hook).
+// in total. Taking the cut holds every shard lock briefly, so the call must
+// not run under them (a WithOnRetire hook).
 // Identically built shards (shared seed) are required, and windowed shards
 // must sit at one epoch; otherwise the merge reports ErrIncompatible.
 func (v *ShardedView) TotalDistinctMerged() (float64, error) {

@@ -2,11 +2,13 @@ package streamcard
 
 // Tests for writer-side snapshot publication: query latency must stay flat
 // while large batches absorb (the reader never takes a shard lock on the
-// serving path), read-your-writes must survive the inversion, and the
-// cross-shard view publication must never let a slower assembler overwrite
-// a fresher view (the CompareAndSwap in publishView).
+// serving path), read-your-writes must survive the inversion, writes must
+// keep the published view current with no reader involved, and writers on
+// different shards must never publish over each other's slots (the
+// CompareAndSwap in publishShard).
 
 import (
+	"fmt"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -149,63 +151,128 @@ func TestSnapshotReadYourWritesAfterBatch(t *testing.T) {
 	}
 }
 
-// TestPublishViewLoserNeverOverwrites drives the publishView CAS through
-// its three deterministic outcomes. The regression it pins: with a plain
-// Store, a slow assembler that collected before a newer write could
-// overwrite the fresher published view — later readers would re-assemble
-// (correct but wasted work) and the fresher view's cached merged total
-// would be discarded.
-func TestPublishViewLoserNeverOverwrites(t *testing.T) {
-	s := freshTestStack(2, 2, 1<<16)
-	s.ObserveBatch(freshTestBatch(11, 5_000, 1_000))
+// TestWritesRepublishWithoutReaders pins that the writers, not the
+// readers, keep the published view current: after a write, the published
+// pointer already holds a view with the write in it, before anyone calls
+// Snapshot again. A design where only a reader refreshes the view keeps the
+// superseded cut — and the per-user tables it pins — published through
+// every write-only stretch.
+func TestWritesRepublishWithoutReaders(t *testing.T) {
+	s := freshTestStack(4, 3, 1<<18)
+	s.ObserveBatch(freshTestBatch(5, 10_000, 2_000))
+	taken := s.Snapshot() // arms publication
 
-	vOld := s.Snapshot()
-	s.Observe(42, 42) // vOld is now stale
-	vFresh := s.Snapshot()
-	if vFresh == vOld {
-		t.Fatal("Snapshot reused a stale view")
+	const user = 999_999_937 // fresh user, not in the workload range
+	batch := make([]Edge, 64)
+	for i := range batch {
+		batch[i] = Edge{User: user, Item: uint64(i)}
 	}
-	if got := s.set.Load(); got != vFresh {
-		t.Fatalf("fresh view not published: %p != %p", got, vFresh)
+	s.ObserveBatch(batch)
+
+	pub := s.set.Load()
+	if pub == taken {
+		t.Fatal("a write left the pre-write view published")
+	}
+	if got := pub.Estimate(user); got <= 0 {
+		t.Fatalf("published view estimates %v for a user whose batch already returned", got)
+	}
+	if got := taken.Estimate(user); got != 0 {
+		t.Fatalf("the taken view moved: estimate %v for a user written after it", got)
+	}
+}
+
+// TestPublishKeepsConcurrentShardWrites races one writer per shard, each
+// feeding its own user through ObserveShardBatch and reading that user back
+// from Snapshot after every batch: the published view must show exactly
+// the estimate a sequential twin has after the same batch. Writers on
+// different shards publish concurrently; if one could install a copy of
+// the view that predates another's write (a plain Store instead of the
+// CompareAndSwap), the other writer would read its own write back lost.
+func TestPublishKeepsConcurrentShardWrites(t *testing.T) {
+	const (
+		shards  = 4
+		mbits   = 1 << 22
+		batches = 1500
+		size    = 16
+	)
+	s := freshTestStack(shards, 2, mbits)
+
+	// One user per shard, its batches (a fresh item every edge), and the
+	// estimates a standalone twin of its shard has after each batch.
+	users := make([]uint64, shards)
+	for u, found := uint64(1), 0; found < shards; u++ {
+		if sh := s.ShardIndex(u); users[sh] == 0 {
+			users[sh] = u
+			found++
+		}
+	}
+	feed := make([][][]Edge, shards)
+	want := make([][]float64, shards)
+	for sh := range feed {
+		twin := NewWindowed(func() Estimator {
+			return NewFreeRS(mbits/shards, WithSeed(1))
+		}, WithGenerations(2))
+		feed[sh] = make([][]Edge, batches)
+		want[sh] = make([]float64, batches)
+		for i := range feed[sh] {
+			b := make([]Edge, size)
+			for j := range b {
+				b[j] = Edge{User: users[sh], Item: uint64(i*size + j)}
+			}
+			feed[sh][i] = b
+			twin.ObserveBatch(b)
+			want[sh][i] = twin.Estimate(users[sh])
+		}
 	}
 
-	// A slow assembler replays: it had loaded prev=vOld and assembled the
-	// pre-write cut (vOld itself stands in for it). CAS(vOld->vOld) must
-	// fail against the published vFresh, and since vFresh is fresh the
-	// loser adopts it; the published pointer must not move.
-	if got := s.publishView(vOld, vOld); got != vFresh {
-		t.Fatalf("loser did not adopt the fresh winner: %p != %p", got, vFresh)
+	_ = s.Snapshot() // arm publication
+	var wg sync.WaitGroup
+	errs := make(chan string, shards)
+	for sh := range feed {
+		wg.Add(1)
+		go func(sh int) {
+			defer wg.Done()
+			for i, b := range feed[sh] {
+				s.ObserveShardBatch(sh, b)
+				if got := s.Snapshot().Estimate(users[sh]); got != want[sh][i] {
+					errs <- fmt.Sprintf("shard %d batch %d: published estimate %v, sequential twin %v",
+						sh, i, got, want[sh][i])
+					return
+				}
+			}
+		}(sh)
 	}
-	if got := s.set.Load(); got != vFresh {
-		t.Fatal("stale view overwrote the fresh published one")
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
 	}
+	requireViewMatchesCut(t, s)
+}
 
-	// Now the winner itself goes stale: a losing assembler holding a view
-	// collected AFTER the staling write must return its own view (its cut
-	// reflects the caller's writes; the stale winner does not) and still
-	// must not dislodge the published pointer with a plain store.
-	s.Observe(43, 43) // vFresh is now stale
-	vNew, ok := s.collect()
-	if !ok {
-		t.Fatal("collect failed on a quiescent stack")
+// requireViewMatchesCut checks that the published view of a stack nobody is
+// writing answers exactly as a FullSnapshot cut taken now: every user's
+// estimate, TotalDistinct and NumUsers.
+func requireViewMatchesCut(t *testing.T, s *Sharded) {
+	t.Helper()
+	v, cut := s.Snapshot(), s.FullSnapshot()
+	if got, want := v.NumUsers(), cut.NumUsers(); got != want {
+		t.Fatalf("published view counts %d users, full cut %d", got, want)
 	}
-	if got := s.publishView(vOld, vNew); got != vNew {
-		t.Fatalf("loser with the freshest cut did not return it: %p != %p", got, vNew)
+	if got, want := v.TotalDistinct(), cut.TotalDistinct(); got != want {
+		t.Fatalf("published view total %v, full cut %v", got, want)
 	}
-	if got := s.set.Load(); got != vFresh {
-		t.Fatal("publishView stored through a failed CAS")
-	}
-
-	// The straight win: CAS from the current published pointer installs.
-	if got := s.publishView(vFresh, vNew); got != vNew || s.set.Load() != vNew {
-		t.Fatal("CAS from the current published view did not install")
-	}
+	cut.RangeUsers(func(u uint64, e float64) {
+		if got := v.Estimate(u); got != e {
+			t.Fatalf("user %d: published view estimates %v, full cut %v", u, got, e)
+		}
+	})
 }
 
 // TestPublishViewRaceStorm hammers Snapshot from many goroutines against
 // concurrent writers and rotations — the -race regression test for the
-// publication CAS — and then checks the system settles on a stable fresh
-// view once writes stop.
+// publication CAS — and then checks the settled published view answers
+// exactly as a full cut does, and is reused while nothing writes.
 func TestPublishViewRaceStorm(t *testing.T) {
 	s := freshTestStack(4, 3, 1<<18)
 	s.ObserveBatch(freshTestBatch(13, 10_000, 2_000))
@@ -263,10 +330,8 @@ func TestPublishViewRaceStorm(t *testing.T) {
 	close(done)
 	wg.Wait()
 
+	requireViewMatchesCut(t, s)
 	final := s.Snapshot()
-	if final == nil || !final.fresh(s) {
-		t.Fatal("settled stack does not publish a fresh view")
-	}
 	if again := s.Snapshot(); again != final {
 		t.Fatal("repeated Snapshot of an unwritten stack did not reuse the published view")
 	}

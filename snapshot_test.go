@@ -97,12 +97,8 @@ func TestSnapshotTortureConsistentEpoch(t *testing.T) {
 					fail("Snapshot returned nil for a snapshottable stack")
 					return
 				}
-				// The single-consistent-epoch invariant, checked two ways:
-				// the view's own verdict, and shard by shard.
-				if !v.EpochConsistent() {
-					fail("view froze a torn epoch mix (EpochConsistent=false)")
-					return
-				}
+				// The single-consistent-epoch invariant, checked shard by
+				// shard.
 				epoch := v.Epoch()
 				for i := 0; i < v.NumShards(); i++ {
 					w, ok := v.ShardView(i).(*Windowed)
