@@ -457,8 +457,8 @@ func BenchmarkShardedBatch(b *testing.B) {
 
 // BenchmarkWindowedObserve compares the windowed ingest path against the
 // bare estimator on the same bursty workload, per edge and per 1k-edge
-// batch, at k ∈ {2, 4} with edge-driven rotation. cmd/windowbench emits the
-// same comparison as BENCH_window.json for CI's perf trajectory.
+// batch, at k ∈ {2, 4} with edge-driven rotation. CI's benchmark smoke runs
+// it once per commit.
 func BenchmarkWindowedObserve(b *testing.B) {
 	edges := benchBurstEdges(1<<16, 4)
 	mask := len(edges) - 1

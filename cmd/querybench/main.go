@@ -1,74 +1,45 @@
-// Command querybench measures what the snapshot-isolated read path buys:
-// ingest throughput of the serving stack — Sharded(Windowed(FreeRS)), the
-// same shape cardserved runs — with zero versus N concurrent query
-// goroutines, plus query latency percentiles for the query mix a monitor
-// actually issues (point estimates, top-k, anytime and merged totals, user
-// counts). Because the write path publishes the stack's whole view — a
-// copy with the written shard's fresh fork swapped in — before it releases
-// the shard lock, a query reads its view with one atomic load: ingest
-// throughput under query load should sit within a few percent of the
-// query-free baseline AND query latency should stay in the microseconds
-// even while 65k-edge batches are absorbing; the JSON this tool emits
-// (BENCH_query.json, uploaded by CI next to BENCH_core.json) tracks both
-// per commit. Percentiles are only reported for kinds with at least
-// minSamples observations (too_few_samples flags the rest) so a 2-sample
-// p99 can never gate anything.
+// Command querybench runs CI's timing gates: the checks that need a loaded
+// serving stack, real listeners, a real disk or several CPUs, which no
+// package test can hold. It takes no flags. The stack, the load and every
+// bound are the constants below. It prints one line per gate, with the
+// measured value, the limit and the sample count, and exits 1 if any gate
+// fails. A ratio gate that needs more CPUs than the host has is skipped,
+// and its line says why.
 //
-// A separate wire phase compares the two ingest protocols end to end —
-// decode a pre-encoded request body and absorb the batch — for the text
-// line protocol versus the CWB1 binary frame, reporting edges/sec each and
-// the binary/text speedup.
+//	go run ./cmd/querybench
 //
-// A transport phase compares the two ways CWB1 frames reach a real server:
-// sequential keep-alive HTTP POSTs (one round trip per frame — the
-// request/response transport cardload's -proto binary drives) versus the
-// CWT1 persistent TCP transport (one long-lived connection, a window of
-// pipelined frames, out-of-band per-frame acks). Both legs carry identical
-// frame payloads into identical server.New stacks at -scaling-shards, so
-// the ratio isolates what pipelining saves in per-request transport
-// overhead; -min-tcp-speedup gates it (skipped with a logged reason on
-// single-CPU hosts, where client and server time-slice one core and
-// overlap is impossible by construction).
+// The gates, in run order:
 //
-// A WAL phase measures what durability costs the same absorb loop: no WAL,
-// the interval (group-commit) fsync policy, and the always policy, each
-// against a real log on disk, with -max-wal-overhead-pct gating the
-// interval leg's overhead over the no-WAL baseline.
-//
-// It also asserts the publication cost model: taking a snapshot of a
-// loaded stack must allocate a small, size-independent number of bytes —
-// never a full-array copy. The assertion compares publication cost at the
-// configured sketch size and at 4x that size and fails the run (exit 1) if
-// either is large or they scale with M.
-//
-// An analytics phase measures the shard-concurrent analytics read path at
-// scale (top-k, sorted user enumeration, user counts, merged totals at
-// ≥ 100k users across several live generations): each row runs on a
-// freshly dirtied view so every window fold is cold, once through the
-// one-goroutine serial reference and once through the parallel fan-out,
-// plus a cached row that re-queries an unchanged view and asserts zero
-// re-folds. Every row collects enough samples to clear the minSamples
-// floor, so the analytics percentiles are real and gateable.
-//
-// CI gates on the serving targets with -max-estimate-p50-us,
-// -max-total-p50-us, -min-wire-speedup, -min-tcp-speedup,
-// -max-topk-p50-us, and -min-analytics-scaling (0 disables a gate).
-//
-//	go run ./cmd/querybench -edges 4000000 -queriers 8 -out BENCH_query.json
+//   - point reads under ingest: /estimate and /total p50 and p99 at most
+//     1 ms, each over at least 1,000 samples. Two ingesters absorb
+//     65,536-edge batches into Sharded(Windowed(FreeRS)), the stack
+//     cardserved runs, and a ticker rotates it every 50 ms. Seven point
+//     queriers alternate Estimate and the anytime total at 2,000 reads/s
+//     in total; an ops querier scrapes top-k, user counts and the merged
+//     total on wall-clock schedules.
+//   - wire: decoding and absorbing CWB1 frames at least 2x as fast as the
+//     text line protocol.
+//   - transport: CWT1 pipelined over one TCP connection at least 1.5x
+//     sequential keep-alive HTTP POSTs of the same frames into a real
+//     server (needs 2 CPUs).
+//   - ingest scaling: one executor per shard at least 1.8x one goroutine,
+//     at 8 shards (needs 4 CPUs).
+//   - analytics: a cold-fold top-k over 120k users p50 at most 50 ms, and
+//     the shard-parallel top-k at least 1.8x the serial reference (needs
+//     4 CPUs).
+//   - WAL: the interval (group-commit) policy costs at most 15% of no-WAL
+//     ingest throughput, best of 3 interleaved reps per leg.
 package main
 
 import (
 	"bufio"
 	"bytes"
-	"encoding/json"
-	"flag"
 	"fmt"
 	"io"
 	"math"
 	"net"
 	"net/http"
 	"os"
-	"reflect"
 	"runtime"
 	"sort"
 	"strings"
@@ -83,393 +54,253 @@ import (
 	"repro/internal/wal"
 )
 
-// LatencySummary is the per-query-kind latency section of the JSON. Kinds
-// that collected fewer than minSamples observations report only the count,
-// with TooFewSamples set and the percentiles zeroed: a p99 over two
-// samples is noise, and gating on it would pass and fail runs at random.
-type LatencySummary struct {
-	Count         int     `json:"count"`
-	P50Us         float64 `json:"p50_us,omitempty"`
-	P95Us         float64 `json:"p95_us,omitempty"`
-	P99Us         float64 `json:"p99_us,omitempty"`
-	TooFewSamples bool    `json:"too_few_samples,omitempty"`
-}
+// The stack and the load every phase shares.
+const (
+	memoryBits  = 1 << 22 // total sketch memory, split across shards, per generation
+	shards      = 4
+	generations = 4
+	batchEdges  = 65536
+	poolEdges   = 4_000_000 // edges pre-generated and cycled through the window
+	users       = 50_000
+	ingesters   = 2
+	// scalingShards is the width of the transport, ingest-scaling and
+	// analytics stacks: one executor per shard in their parallel legs.
+	scalingShards = 8
+)
 
-// Result is the JSON document querybench emits.
-type Result struct {
-	PhaseSeconds  float64 `json:"phase_seconds"`
-	Edges         int     `json:"edges"`
-	MemoryBits    int     `json:"memory_bits"`
-	Shards        int     `json:"shards"`
-	Generations   int     `json:"generations"`
-	BatchSize     int     `json:"batch_size"`
-	Ingesters     int     `json:"ingesters"`
-	Queriers      int     `json:"queriers"`
-	TargetQPS     int     `json:"target_qps"`
-	RotateEveryMs int     `json:"rotate_every_ms"`
-	// The host's parallelism, recorded so a stored BENCH file is
-	// interpretable: every throughput and scaling number below is a
-	// function of how many cores the run actually had.
-	NumCPU     int `json:"num_cpu"`
-	GOMAXPROCS int `json:"gomaxprocs"`
+// The point-read phase.
+const (
+	pointPhase       = 3 * time.Second
+	pointQueriers    = 7
+	pointReadsPerSec = 2000 // across the whole point fleet
+	rotateEvery      = 50 * time.Millisecond
+	// minPointSamples leaves ten samples beyond the p99.
+	minPointSamples = 1000
+	maxPointReadUs  = 1000
 
-	BaselineEdgesPerSec  float64 `json:"baseline_edges_per_sec"`
-	ContendedEdgesPerSec float64 `json:"contended_edges_per_sec"`
-	IngestDropPct        float64 `json:"ingest_drop_pct"`
-
-	QueriesExecuted int                       `json:"queries_executed"`
-	QueryLatency    map[string]LatencySummary `json:"query_latency"`
-
-	// Wire-to-sketch throughput: request body decoded (text line protocol
-	// vs CWB1 binary frame) and the batch absorbed, per protocol, on a
-	// fresh stack each — the server-side cost of an ingest request minus
-	// HTTP itself.
-	WireTextEdgesPerSec   float64 `json:"wire_text_edges_per_sec"`
-	WireBinaryEdgesPerSec float64 `json:"wire_binary_edges_per_sec"`
-	WireSpeedup           float64 `json:"wire_speedup"`
-
-	// Transport comparison against a real server at TransportShards:
-	// identical CWB1 frame payloads delivered as sequential keep-alive HTTP
-	// POSTs (an ack round trip per frame) versus the CWT1 persistent TCP
-	// transport (one connection, TransportWindow pipelined frames in
-	// flight, per-frame acks read out of band). Edges/sec counts acked
-	// frames end to end, so the ratio is the per-request transport overhead
-	// pipelining removes. -min-tcp-speedup gates TCPSpeedupX; skipped with
-	// the logged reason in TCPGateSkipped on single-CPU hosts.
-	TransportShards          int     `json:"transport_shards"`
-	TransportFrameEdges      int     `json:"transport_frame_edges"`
-	TransportWindow          int     `json:"transport_window"`
-	TransportHTTPEdgesPerSec float64 `json:"transport_http_edges_per_sec"`
-	TransportTCPEdgesPerSec  float64 `json:"transport_tcp_edges_per_sec"`
-	TCPSpeedupX              float64 `json:"tcp_speedup_x"`
-	TCPGateSkipped           string  `json:"tcp_gate_skipped,omitempty"`
-
-	// Ingest scaling: the same decode→partition→absorb pipeline executed by
-	// ONE goroutine (partition a batch, absorb every shard's sub-batch
-	// sequentially — the executors=1 reference) versus by one executor
-	// goroutine per shard fed from per-shard queues (the cardserved
-	// structure). The ratio is what shard-parallel ingest buys on this
-	// host; on a single-core runner it is ≈1 by construction, which is why
-	// the gate skips below 4 CPUs (see IngestScalingGateSkipped).
-	IngestScalingShards       int     `json:"ingest_scaling_shards"`
-	IngestSerialEdgesPerSec   float64 `json:"ingest_serial_edges_per_sec"`
-	IngestParallelEdgesPerSec float64 `json:"ingest_parallel_edges_per_sec"`
-	IngestScalingX            float64 `json:"ingest_scaling_x"`
-	// Non-empty when -min-ingest-scaling was requested but not enforced,
-	// with the reason (e.g. too few CPUs to certify parallel speedup).
-	IngestScalingGateSkipped string `json:"ingest_scaling_gate_skipped,omitempty"`
-
-	// Analytics read path: shard-concurrent top-k / user enumeration /
-	// counts versus the one-goroutine serial reference, measured on a
-	// scaling-shards-wide stack holding AnalyticsUsers users across the
-	// live generations. Every leg runs on a freshly dirtied view (a write
-	// lands in every shard first, so all window-fold caches are cold and
-	// both legs do identical work); the topk_cached row re-queries an
-	// unchanged view, with the phase asserting via fold counters that it
-	// re-folded nothing. AnalyticsTopkScalingX is serial p50 over parallel
-	// p50; like ingest scaling, the gate skips below 4 CPUs.
-	AnalyticsUsers        int                       `json:"analytics_users"`
-	AnalyticsShards       int                       `json:"analytics_shards"`
-	AnalyticsLatency      map[string]LatencySummary `json:"analytics_latency"`
-	AnalyticsTopkScalingX float64                   `json:"analytics_topk_scaling_x"`
-	AnalyticsFoldComputes uint64                    `json:"analytics_fold_computes"`
-	AnalyticsFoldHits     uint64                    `json:"analytics_fold_hits"`
-	AnalyticsGateSkipped  string                    `json:"analytics_gate_skipped,omitempty"`
-
-	// WAL overhead: the per-request ingest cycle (decode a text body, WAL
-	// append, group-commit barrier, absorb — the way cardserved's submit
-	// path runs it) against a real log on disk, for the no-WAL baseline,
-	// the interval (group-commit) policy, and the always (fsync-per-batch)
-	// policy. Overhead percentages are relative to the off leg; CI gates
-	// the interval one, the durability default.
-	WALOffEdgesPerSec      float64 `json:"wal_off_edges_per_sec"`
-	WALIntervalEdgesPerSec float64 `json:"wal_interval_edges_per_sec"`
-	WALAlwaysEdgesPerSec   float64 `json:"wal_always_edges_per_sec"`
-	WALIntervalOverheadPct float64 `json:"wal_interval_overhead_pct"`
-	WALAlwaysOverheadPct   float64 `json:"wal_always_overhead_pct"`
-
-	// Snapshot publication cost: bytes allocated by one Snapshot call on a
-	// loaded stack right after a write (which already published the new
-	// view), at the configured sketch size and at 4x it. O1OK asserts both
-	// are small and size-independent (the copy-on-write contract:
-	// publication never copies the arrays; the writer pays its lazy copy
-	// outside the call).
-	SnapshotPublishBytes   float64 `json:"snapshot_publish_bytes"`
-	SnapshotPublishBytes4x float64 `json:"snapshot_publish_bytes_4x"`
-	SnapshotPublishO1OK    bool    `json:"snapshot_publish_o1_ok"`
-}
+	// The ops querier's scrape periods.
+	topkEvery        = 150 * time.Millisecond
+	numusersEvery    = 130 * time.Millisecond
+	mergedTotalEvery = 1 * time.Second
+)
 
 func main() {
-	if err := run(os.Args[1:], os.Stdout); err != nil {
+	gates, err := run()
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "querybench:", err)
+		os.Exit(1)
+	}
+	failed := 0
+	for _, g := range gates {
+		op, verdict := ">=", g.verdict()
+		if g.atMost {
+			op = "<="
+		}
+		fmt.Printf("querybench: %-20s %10.2f %s %-6g n=%-5d %s\n", g.name, g.value, op, g.limit, g.samples, verdict)
+		if strings.HasPrefix(verdict, "FAIL") {
+			failed++
+		}
+	}
+	if failed > 0 {
+		fmt.Fprintf(os.Stderr, "querybench: %d of %d gates failed\n", failed, len(gates))
 		os.Exit(1)
 	}
 }
 
-func run(args []string, stdout io.Writer) error {
-	fs := flag.NewFlagSet("querybench", flag.ContinueOnError)
-	var (
-		seconds   = fs.Float64("seconds", 3, "measured duration of each phase")
-		edges     = fs.Int("edges", 4_000_000, "edges pre-generated and cycled through the window (the pool, not the total ingested)")
-		mbits     = fs.Int("mbits", 1<<22, "total sketch memory in bits (split across shards, spent per generation)")
-		shards    = fs.Int("shards", 4, "shard count")
-		gens      = fs.Int("gens", 4, "window generations k")
-		batch     = fs.Int("batch", 65536, "ObserveBatch chunk size")
-		users     = fs.Int("users", 50_000, "distinct users in the workload")
-		ingesters = fs.Int("ingesters", 2, "concurrent ingest goroutines")
-		queriers  = fs.Int("queriers", 8, "concurrent query goroutines in the contended phase")
-		qps       = fs.Int("qps", 2000, "total target point-estimate rate across the query fleet (0 = unthrottled)")
-		rotatems  = fs.Int("rotate", 50, "rotate every this many milliseconds during both phases (0 = never)")
-		out       = fs.String("out", "BENCH_query.json", "output file (- = stdout)")
-
-		scalingShards = fs.Int("scaling-shards", 8, "shard count of the ingest-scaling phase (one executor per shard in the parallel leg)")
-
-		analyticsUsers = fs.Int("analytics-users", 120_000, "distinct users in the analytics read-path phase")
-
-		maxEstP50           = fs.Float64("max-estimate-p50-us", 0, "fail if estimate p50 exceeds this many microseconds (0 = no gate)")
-		maxTotalP50         = fs.Float64("max-total-p50-us", 0, "fail if total p50 exceeds this many microseconds (0 = no gate)")
-		minSpeedup          = fs.Float64("min-wire-speedup", 0, "fail if binary/text wire-to-sketch speedup falls below this (0 = no gate)")
-		minTCPSpeedup       = fs.Float64("min-tcp-speedup", 0, "fail if the pipelined-TCP/HTTP-binary transport speedup falls below this (0 = no gate; skipped with a logged reason on hosts with fewer than 2 CPUs)")
-		minScaling          = fs.Float64("min-ingest-scaling", 0, "fail if shard-parallel/serial ingest throughput falls below this (0 = no gate; skipped with a logged reason on hosts with fewer than 4 CPUs)")
-		maxWALOver          = fs.Float64("max-wal-overhead-pct", 0, "fail if the interval-policy WAL ingest overhead exceeds this percent of the no-WAL baseline (0 = no gate)")
-		maxTopkP50          = fs.Float64("max-topk-p50-us", 0, "fail if the parallel analytics top-k p50 exceeds this many microseconds (0 = no gate)")
-		minAnalyticsScaling = fs.Float64("min-analytics-scaling", 0, "fail if the parallel/serial analytics top-k speedup falls below this (0 = no gate; skipped with a logged reason on hosts with fewer than 4 CPUs)")
-	)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if *seconds <= 0 || *edges <= 0 || *shards <= 0 || *gens < 2 || *batch <= 0 || *users <= 0 || *ingesters <= 0 || *queriers < 0 {
-		return fmt.Errorf("need seconds, edges, shards, batch, users, ingesters > 0 and gens >= 2")
-	}
-
-	batches := makeBatches(*edges, *batch, *users, 1)
-
-	// Warm up code paths and fault in the edge slices before timing.
-	warmup(buildStack(*mbits, *shards, *gens), batches)
-
-	res := Result{
-		PhaseSeconds: *seconds,
-		Edges:        *edges, MemoryBits: *mbits, Shards: *shards, Generations: *gens,
-		BatchSize: *batch, Ingesters: *ingesters, Queriers: *queriers,
-		TargetQPS: *qps, RotateEveryMs: *rotatems,
-		NumCPU: runtime.NumCPU(), GOMAXPROCS: runtime.GOMAXPROCS(0),
-		IngestScalingShards: *scalingShards,
-	}
-
-	cfg := phaseConfig{
-		mbits: *mbits, shards: *shards, gens: *gens, users: *users,
-		ingesters: *ingesters, qps: *qps, rotatems: *rotatems,
-		seconds: *seconds,
-	}
-	res.BaselineEdgesPerSec, _, _ = runPhase(cfg, batches, 0)
-	var lat map[string][]float64
-	var queries int
-	res.ContendedEdgesPerSec, lat, queries = runPhase(cfg, batches, *queriers)
-
-	res.IngestDropPct = (1 - res.ContendedEdgesPerSec/res.BaselineEdgesPerSec) * 100
-	res.QueriesExecuted = queries
-	res.QueryLatency = summarize(lat)
-
-	var err error
-	res.WireTextEdgesPerSec, res.WireBinaryEdgesPerSec, err = wirePhase(cfg, batches)
-	if err != nil {
-		return err
-	}
-	res.WireSpeedup = res.WireBinaryEdgesPerSec / res.WireTextEdgesPerSec
-
-	res.TransportShards = *scalingShards
-	res.TransportFrameEdges = transportFrameEdges
-	res.TransportWindow = transportWindow
-	res.TransportHTTPEdgesPerSec, res.TransportTCPEdgesPerSec, err =
-		transportPhase(cfg, batches, *scalingShards)
-	if err != nil {
-		return err
-	}
-	res.TCPSpeedupX = res.TransportTCPEdgesPerSec / res.TransportHTTPEdgesPerSec
-	if *minTCPSpeedup > 0 && res.NumCPU < 2 {
-		// On one core the client, the HTTP server, and the shard executors
-		// time-slice the same CPU: pipelined frames cannot overlap anything,
-		// so the ratio certifies scheduling luck, not the transport. Recorded
-		// in the JSON like the other skips so a stored BENCH file says why
-		// the gate did not run.
-		res.TCPGateSkipped = fmt.Sprintf(
-			"host has %d CPUs; certifying pipelined-transport speedup needs at least 2", res.NumCPU)
-	}
-
-	res.IngestSerialEdgesPerSec, res.IngestParallelEdgesPerSec =
-		ingestScalingPhase(cfg, batches, *scalingShards)
-	res.IngestScalingX = res.IngestParallelEdgesPerSec / res.IngestSerialEdgesPerSec
-	if *minScaling > 0 && res.NumCPU < 4 {
-		// One or two cores cannot certify parallel speedup: the executors
-		// time-slice the same cores the serial leg had, so the ratio is ≈1
-		// by construction, not by regression. Record the skip in the JSON so
-		// a stored BENCH file says why the gate did not run.
-		res.IngestScalingGateSkipped = fmt.Sprintf(
-			"host has %d CPUs; certifying shard-parallel scaling needs at least 4", res.NumCPU)
-	}
-
-	alat, fst, err := analyticsPhase(*mbits, *scalingShards, *gens, *analyticsUsers)
-	if err != nil {
-		return err
-	}
-	res.AnalyticsUsers = *analyticsUsers
-	res.AnalyticsShards = *scalingShards
-	res.AnalyticsLatency = summarize(alat)
-	if s, p := res.AnalyticsLatency["topk_serial"], res.AnalyticsLatency["topk"]; p.P50Us > 0 {
-		res.AnalyticsTopkScalingX = s.P50Us / p.P50Us
-	}
-	res.AnalyticsFoldComputes = fst.Computes()
-	res.AnalyticsFoldHits = fst.Hits()
-	if *minAnalyticsScaling > 0 && res.NumCPU < 4 {
-		// Same reasoning as the ingest-scaling skip: with the fan-out
-		// time-slicing the serial leg's cores, the ratio is ≈1 by
-		// construction and certifies nothing.
-		res.AnalyticsGateSkipped = fmt.Sprintf(
-			"host has %d CPUs; certifying shard-parallel analytics scaling needs at least 4", res.NumCPU)
-	}
-
-	res.WALOffEdgesPerSec, res.WALIntervalEdgesPerSec, res.WALAlwaysEdgesPerSec, err =
-		walPhase(cfg, batches)
-	if err != nil {
-		return err
-	}
-	res.WALIntervalOverheadPct = (1 - res.WALIntervalEdgesPerSec/res.WALOffEdgesPerSec) * 100
-	res.WALAlwaysOverheadPct = (1 - res.WALAlwaysEdgesPerSec/res.WALOffEdgesPerSec) * 100
-
-	// The O(1)-publication assertion, at M and 4M.
-	small := snapshotPublishBytes(*mbits, *shards, *gens)
-	large := snapshotPublishBytes(*mbits*4, *shards, *gens)
-	res.SnapshotPublishBytes = small
-	res.SnapshotPublishBytes4x = large
-	// "Small": far below one generation's array (mbits/shards/8 bytes).
-	// "Size-independent": 4x the sketch must not even double the cost.
-	arrayBytes := float64(*mbits / *shards / 8)
-	res.SnapshotPublishO1OK = small < 64<<10 && small < arrayBytes/4 &&
-		large < 2*small+4096
-
-	doc, err := json.MarshalIndent(res, "", "  ")
-	if err != nil {
-		return err
-	}
-	doc = append(doc, '\n')
-	if *out == "-" {
-		if _, err := stdout.Write(doc); err != nil {
-			return err
-		}
-	} else if err := os.WriteFile(*out, doc, 0o644); err != nil {
-		return err
-	}
-
-	fmt.Fprintf(stdout,
-		"querybench: ingest %.1fM edges/s alone, %.1fM with %d queriers (%.1f%% drop), %d queries, estimate p50 %.0fus p99 %.0fus, total p50 %.0fus\n",
-		res.BaselineEdgesPerSec/1e6, res.ContendedEdgesPerSec/1e6, *queriers,
-		res.IngestDropPct, queries, res.QueryLatency["estimate"].P50Us,
-		res.QueryLatency["estimate"].P99Us, res.QueryLatency["total"].P50Us)
-	fmt.Fprintf(stdout, "querybench: wire-to-sketch %.1fM edges/s text, %.1fM binary (%.1fx)\n",
-		res.WireTextEdgesPerSec/1e6, res.WireBinaryEdgesPerSec/1e6, res.WireSpeedup)
-	fmt.Fprintf(stdout, "querybench: transport at %d shards: %.1fM edges/s http binary, %.1fM tcp pipelined (%.2fx, window %d, %d-edge frames)\n",
-		*scalingShards, res.TransportHTTPEdgesPerSec/1e6, res.TransportTCPEdgesPerSec/1e6,
-		res.TCPSpeedupX, transportWindow, transportFrameEdges)
-	fmt.Fprintf(stdout, "querybench: ingest scaling at %d shards: %.1fM edges/s serial, %.1fM shard-parallel (%.2fx on %d CPUs)\n",
-		*scalingShards, res.IngestSerialEdgesPerSec/1e6, res.IngestParallelEdgesPerSec/1e6,
-		res.IngestScalingX, res.NumCPU)
-	fmt.Fprintf(stdout, "querybench: analytics at %d shards / %d users: topk p50 %.0fus serial, %.0fus parallel (%.2fx), cached %.0fus; folds %d computed %d hit\n",
-		*scalingShards, *analyticsUsers,
-		res.AnalyticsLatency["topk_serial"].P50Us, res.AnalyticsLatency["topk"].P50Us,
-		res.AnalyticsTopkScalingX, res.AnalyticsLatency["topk_cached"].P50Us,
-		res.AnalyticsFoldComputes, res.AnalyticsFoldHits)
-	fmt.Fprintf(stdout, "querybench: WAL ingest %.1fM edges/s off, %.1fM interval (+%.1f%%), %.1fM always (+%.1f%%)\n",
-		res.WALOffEdgesPerSec/1e6,
-		res.WALIntervalEdgesPerSec/1e6, res.WALIntervalOverheadPct,
-		res.WALAlwaysEdgesPerSec/1e6, res.WALAlwaysOverheadPct)
-	fmt.Fprintf(stdout, "querybench: snapshot publication %.0f B at M, %.0f B at 4M (o1_ok=%v)\n",
-		small, large, res.SnapshotPublishO1OK)
-	if *out != "-" {
-		fmt.Fprintf(stdout, "querybench: wrote %s\n", *out)
-	}
-	if !res.SnapshotPublishO1OK {
-		return fmt.Errorf("snapshot publication is not O(1): %.0f bytes at M=%d, %.0f at 4x (one shard generation's array is %.0f bytes)",
-			small, *mbits, large, arrayBytes)
-	}
-
-	// The serving-target gates. A kind with too few samples cannot pass its
-	// gate — refusing to certify a latency from a 2-sample percentile is
-	// the point of the minSamples floor.
-	var violations []string
-	gateP50 := func(kind string, limit float64) {
-		if limit <= 0 {
-			return
-		}
-		ls, ok := res.QueryLatency[kind]
-		switch {
-		case !ok || ls.TooFewSamples:
-			violations = append(violations,
-				fmt.Sprintf("%s: %d samples is below the %d-sample floor, cannot certify p50", kind, ls.Count, minSamples))
-		case ls.P50Us > limit:
-			violations = append(violations, fmt.Sprintf("%s p50 %.0fus > limit %.0fus", kind, ls.P50Us, limit))
-		}
-	}
-	gateP50("estimate", *maxEstP50)
-	gateP50("total", *maxTotalP50)
-	if *minSpeedup > 0 && res.WireSpeedup < *minSpeedup {
-		violations = append(violations,
-			fmt.Sprintf("wire speedup %.2fx < limit %.2fx", res.WireSpeedup, *minSpeedup))
-	}
-	if *minTCPSpeedup > 0 {
-		if res.TCPGateSkipped != "" {
-			fmt.Fprintf(stdout, "querybench: tcp-speedup gate skipped: %s\n", res.TCPGateSkipped)
-		} else if res.TCPSpeedupX < *minTCPSpeedup {
-			violations = append(violations,
-				fmt.Sprintf("tcp transport speedup %.2fx < limit %.2fx at %d shards on %d CPUs",
-					res.TCPSpeedupX, *minTCPSpeedup, *scalingShards, res.NumCPU))
-		}
-	}
-	if *minScaling > 0 {
-		if res.IngestScalingGateSkipped != "" {
-			fmt.Fprintf(stdout, "querybench: ingest-scaling gate skipped: %s\n", res.IngestScalingGateSkipped)
-		} else if res.IngestScalingX < *minScaling {
-			violations = append(violations,
-				fmt.Sprintf("ingest scaling %.2fx < limit %.2fx at %d shards on %d CPUs",
-					res.IngestScalingX, *minScaling, *scalingShards, res.NumCPU))
-		}
-	}
-	gateAnalyticsP50 := func(kind string, limit float64) {
-		if limit <= 0 {
-			return
-		}
-		ls, ok := res.AnalyticsLatency[kind]
-		switch {
-		case !ok || ls.TooFewSamples:
-			violations = append(violations,
-				fmt.Sprintf("analytics %s: %d samples is below the %d-sample floor, cannot certify p50", kind, ls.Count, minSamples))
-		case ls.P50Us > limit:
-			violations = append(violations, fmt.Sprintf("analytics %s p50 %.0fus > limit %.0fus", kind, ls.P50Us, limit))
-		}
-	}
-	gateAnalyticsP50("topk", *maxTopkP50)
-	if *minAnalyticsScaling > 0 {
-		if res.AnalyticsGateSkipped != "" {
-			fmt.Fprintf(stdout, "querybench: analytics-scaling gate skipped: %s\n", res.AnalyticsGateSkipped)
-		} else if res.AnalyticsTopkScalingX < *minAnalyticsScaling {
-			violations = append(violations,
-				fmt.Sprintf("analytics top-k scaling %.2fx < limit %.2fx at %d shards on %d CPUs",
-					res.AnalyticsTopkScalingX, *minAnalyticsScaling, *scalingShards, res.NumCPU))
-		}
-	}
-	if *maxWALOver > 0 && res.WALIntervalOverheadPct > *maxWALOver {
-		violations = append(violations,
-			fmt.Sprintf("interval-policy WAL overhead %.1f%% > limit %.1f%%",
-				res.WALIntervalOverheadPct, *maxWALOver))
-	}
-	if len(violations) > 0 {
-		return fmt.Errorf("gates failed: %s", strings.Join(violations, "; "))
-	}
-	return nil
+// gate is one CI check: a measured value against its limit.
+type gate struct {
+	name         string
+	value, limit float64
+	atMost       bool // the value must not exceed the limit; otherwise it must reach it
+	samples      int
+	minSamples   int    // fewer samples fail the gate: their tail is noise
+	skip         string // non-empty when the host cannot certify the gate, with the reason
 }
 
-// wireSecondsCap bounds each protocol leg of the wire phase; the ratio
-// stabilizes well before the latency phases' full duration.
-const wireSecondsCap = 1.5
+// verdict is "ok", "skipped: <why>" or "FAIL", with a reason when the
+// value alone did not decide it.
+func (g gate) verdict() string {
+	switch {
+	case g.skip != "":
+		return "skipped: " + g.skip
+	case g.samples < g.minSamples:
+		return fmt.Sprintf("FAIL: below the %d-sample floor", g.minSamples)
+	case g.atMost && g.value > g.limit, !g.atMost && g.value < g.limit:
+		return "FAIL"
+	}
+	return "ok"
+}
+
+// latencyGate gates quantile p of samples (µs) at limit.
+func latencyGate(name string, samples []float64, p, limit float64, minSamples int) gate {
+	return gate{name: name, value: quantile(samples, p), limit: limit, atMost: true,
+		samples: len(samples), minSamples: minSamples}
+}
+
+// quantile returns quantile p of v, sorting v in place; 0 when v is empty.
+func quantile(v []float64, p float64) float64 {
+	if len(v) == 0 {
+		return 0
+	}
+	sort.Float64s(v)
+	return v[int(p*float64(len(v)-1))]
+}
+
+// needCPUs returns why a parallel-speedup gate cannot be certified on this
+// host, or "" when it can. Below n CPUs the legs time-slice the same cores,
+// so the ratio sits near 1 by construction, not by regression.
+func needCPUs(n int, what string) string {
+	if cpus := runtime.NumCPU(); cpus < n {
+		return fmt.Sprintf("host has %d CPUs; certifying %s needs at least %d", cpus, what, n)
+	}
+	return ""
+}
+
+func run() ([]gate, error) {
+	batches := makeBatches()
+	// Warm up code paths and fault in the edge slices before timing.
+	warmup(buildStack(shards), batches)
+
+	estimate, total := pointReads(batches)
+	gates := []gate{
+		latencyGate("estimate_p50_us", estimate, 0.50, maxPointReadUs, minPointSamples),
+		latencyGate("estimate_p99_us", estimate, 0.99, maxPointReadUs, minPointSamples),
+		latencyGate("total_p50_us", total, 0.50, maxPointReadUs, minPointSamples),
+		latencyGate("total_p99_us", total, 0.99, maxPointReadUs, minPointSamples),
+	}
+
+	text, bin, err := wirePhase(batches)
+	if err != nil {
+		return nil, err
+	}
+	gates = append(gates, gate{name: "wire_speedup_x", value: bin / text, limit: 2, samples: 1})
+
+	httpEPS, tcpEPS, err := transportPhase(batches)
+	if err != nil {
+		return nil, err
+	}
+	gates = append(gates, gate{name: "tcp_speedup_x", value: tcpEPS / httpEPS, limit: 1.5,
+		samples: transportReps, skip: needCPUs(2, "pipelined-transport speedup")})
+
+	serialEPS, parEPS := ingestScalingPhase(batches)
+	gates = append(gates, gate{name: "ingest_scaling_x", value: parEPS / serialEPS, limit: 1.8,
+		samples: 1, skip: needCPUs(4, "shard-parallel scaling")})
+
+	serial, parallel := analyticsPhase()
+	gates = append(gates,
+		latencyGate("topk_p50_us", parallel, 0.50, 50_000, 0),
+		gate{name: "analytics_scaling_x", value: quantile(serial, 0.5) / quantile(parallel, 0.5), limit: 1.8,
+			samples: analyticsIters, skip: needCPUs(4, "shard-parallel analytics scaling")})
+
+	off, interval, err := walPhase(batches)
+	if err != nil {
+		return nil, err
+	}
+	gates = append(gates, gate{name: "wal_overhead_pct", value: (1 - interval/off) * 100, limit: 15,
+		atMost: true, samples: walReps})
+	return gates, nil
+}
+
+// pointReads runs the point-read phase and returns its read latencies in
+// µs: one user's estimate, and the anytime total a plain GET /total
+// serves. While 65k-edge batches absorb and rotations land, a read should
+// stay one atomic load of the published view.
+func pointReads(batches [][]streamcard.Edge) (estimate, total []float64) {
+	s := buildStack(shards)
+	var (
+		done    atomic.Bool
+		queryWG sync.WaitGroup
+		latMu   sync.Mutex
+	)
+
+	queryWG.Add(1)
+	go func() {
+		defer queryWG.Done()
+		t := time.NewTicker(rotateEvery)
+		defer t.Stop()
+		for range t.C {
+			if done.Load() {
+				return
+			}
+			s.Rotate()
+		}
+	}()
+
+	// The ops querier: a monitor scrapes aggregates on wall-clock
+	// schedules, not per point query. Its reads are load, not gated.
+	queryWG.Add(1)
+	go func() {
+		defer queryWG.Done()
+		var lastTopk, lastNum, lastMerged time.Time
+		for !done.Load() {
+			now := time.Now()
+			switch {
+			case now.Sub(lastTopk) >= topkEvery:
+				lastTopk = now
+				_ = streamcard.TopK(s.Snapshot(), 10)
+			case now.Sub(lastNum) >= numusersEvery:
+				lastNum = now
+				_ = s.NumUsers()
+			case now.Sub(lastMerged) >= mergedTotalEvery:
+				lastMerged = now
+				// The union reading (/total?method=merged), with the
+				// server's fallback to the sum on a merge error.
+				v := s.Snapshot()
+				if _, err := v.TotalDistinctMerged(); err != nil {
+					_ = v.TotalDistinct()
+				}
+			default:
+				time.Sleep(5 * time.Millisecond)
+			}
+		}
+	}()
+
+	interval := time.Duration(float64(pointQueriers) / pointReadsPerSec * float64(time.Second))
+	for q := 0; q < pointQueriers; q++ {
+		queryWG.Add(1)
+		go func(seed uint64) {
+			defer queryWG.Done()
+			rng := hashing.NewRNG(seed)
+			var est, tot []float64
+			for i := 0; !done.Load(); i++ {
+				t0 := time.Now()
+				if i%2 == 0 {
+					_ = s.Estimate(uint64(rng.Intn(users) + 1))
+					est = append(est, float64(time.Since(t0).Microseconds()))
+				} else {
+					_ = s.Snapshot().TotalDistinct()
+					tot = append(tot, float64(time.Since(t0).Microseconds()))
+				}
+				time.Sleep(interval)
+			}
+			latMu.Lock()
+			estimate, total = append(estimate, est...), append(total, tot...)
+			latMu.Unlock()
+		}(uint64(1000 + q))
+	}
+	// Give the query fleet a beat to spin up before ingest starts.
+	time.Sleep(10 * time.Millisecond)
+
+	var next atomic.Int64
+	var ingestWG sync.WaitGroup
+	deadline := time.Now().Add(pointPhase)
+	for w := 0; w < ingesters; w++ {
+		ingestWG.Add(1)
+		go func() {
+			defer ingestWG.Done()
+			for time.Now().Before(deadline) {
+				s.ObserveBatch(batches[int(next.Add(1)-1)%len(batches)])
+			}
+		}()
+	}
+	ingestWG.Wait()
+	done.Store(true)
+	queryWG.Wait()
+	return estimate, total
+}
+
+// wireLeg bounds each protocol leg of the wire phase.
+const wireLeg = 1500 * time.Millisecond
 
 // wirePhase measures wire-to-sketch ingest for both protocols: each leg
 // pre-encodes a slice of the batch pool as request bodies, then decodes
@@ -477,37 +308,42 @@ const wireSecondsCap = 1.5
 // request costs the server after HTTP framing. Text pays a per-edge
 // decimal parse and an edges-slice append; CWB1 validates a CRC and hands
 // the payload bytes straight to ObserveBatch (zero-copy decode).
-func wirePhase(cfg phaseConfig, batches [][]streamcard.Edge) (textEPS, binEPS float64, err error) {
-	if len(batches) > 16 {
-		batches = batches[:16] // bound the encoded-body memory
+func wirePhase(batches [][]streamcard.Edge) (textEPS, binEPS float64, err error) {
+	text, err := textBodies(batches)
+	if err != nil {
+		return 0, 0, err
 	}
-	seconds := cfg.seconds
-	if seconds > wireSecondsCap {
-		seconds = wireSecondsCap
+	binBodies := make([][]byte, len(text))
+	for i := range text {
+		binBodies[i] = stream.AppendWire(nil, batches[i])
 	}
-	textBodies := make([][]byte, len(batches))
-	binBodies := make([][]byte, len(batches))
-	for i, b := range batches {
-		var buf bytes.Buffer
-		if err := stream.WriteText(&buf, b); err != nil {
-			return 0, 0, err
-		}
-		textBodies[i] = buf.Bytes()
-		binBodies[i] = stream.AppendWire(nil, b)
-	}
-	textEPS, err = wireToSketch(cfg, seconds, textBodies, func(body []byte) ([]streamcard.Edge, error) {
+	textEPS, err = wireToSketch(text, func(body []byte) ([]streamcard.Edge, error) {
 		return stream.ParseTextBatch(bytes.NewReader(body))
 	})
 	if err != nil {
 		return 0, 0, err
 	}
-	binEPS, err = wireToSketch(cfg, seconds, binBodies, stream.DecodeWire)
+	binEPS, err = wireToSketch(binBodies, stream.DecodeWire)
 	return textEPS, binEPS, err
 }
 
-func wireToSketch(cfg phaseConfig, seconds float64, bodies [][]byte, decode func([]byte) ([]streamcard.Edge, error)) (float64, error) {
-	s := buildStack(cfg.mbits, cfg.shards, cfg.gens)
-	deadline := time.Now().Add(time.Duration(seconds * float64(time.Second)))
+// textBodies encodes the first 16 batches as text-protocol request bodies;
+// the cap bounds the encoded memory.
+func textBodies(batches [][]streamcard.Edge) ([][]byte, error) {
+	bodies := make([][]byte, 16)
+	for i := range bodies {
+		var buf bytes.Buffer
+		if err := stream.WriteText(&buf, batches[i]); err != nil {
+			return nil, err
+		}
+		bodies[i] = buf.Bytes()
+	}
+	return bodies, nil
+}
+
+func wireToSketch(bodies [][]byte, decode func([]byte) ([]streamcard.Edge, error)) (float64, error) {
+	s := buildStack(shards)
+	deadline := time.Now().Add(wireLeg)
 	start := time.Now()
 	var edges int64
 	for i := 0; time.Now().Before(deadline); i++ {
@@ -521,14 +357,13 @@ func wireToSketch(cfg phaseConfig, seconds float64, bodies [][]byte, decode func
 	return float64(edges) / time.Since(start).Seconds(), nil
 }
 
-// Transport phase sizing: each leg-rep is time-bounded like the wire
-// phase, frames are small enough that per-request overhead — the thing the
-// phase measures — is a visible fraction of each request, and the TCP
-// window matches cardload's default pipelining depth. transportReps
-// interleaved repetitions run and the best rep per leg is kept, the same
-// noise discipline as walPhase.
+// Transport phase sizing: frames are small enough that per-request
+// overhead — what the phase measures — is a visible fraction of each
+// request, and the TCP window matches cardload's default pipelining depth.
+// transportReps interleaved repetitions run and the best rep per leg is
+// kept, the same noise discipline as walPhase.
 const (
-	transportSecondsCap = 1.0
+	transportLeg        = time.Second
 	transportReps       = 3
 	transportFrameEdges = 2048
 	transportWindow     = 64
@@ -536,20 +371,14 @@ const (
 
 // transportPhase measures how CWB1 frames reach a real server: identical
 // frame payloads are driven into identical server stacks (server.New at
-// `shards`, no WAL — durability is walPhase's subject) once as sequential
-// keep-alive HTTP POSTs and once over one CWT1 connection with
+// scalingShards, no WAL — durability is walPhase's subject) once as
+// sequential keep-alive HTTP POSTs and once over one CWT1 connection with
 // transportWindow pipelined frames in flight. Both acks mean the same
 // thing — batch validated and queued on the shard executors — so
 // acked-edges-per-second is an apples-to-apples transport number: the HTTP
 // leg pays a full request/response round trip per frame, the TCP leg
 // streams frames back to back and reads compact acks out of band.
-func transportPhase(cfg phaseConfig, batches [][]streamcard.Edge, shards int) (httpEPS, tcpEPS float64, err error) {
-	seconds := cfg.seconds
-	if seconds > transportSecondsCap {
-		seconds = transportSecondsCap
-	}
-	dur := time.Duration(seconds * float64(time.Second))
-
+func transportPhase(batches [][]streamcard.Edge) (httpEPS, tcpEPS float64, err error) {
 	// Re-slice the pool into transport-sized frames and pre-encode the CWB1
 	// bodies both legs share.
 	var frames [][]streamcard.Edge
@@ -559,9 +388,6 @@ func transportPhase(cfg phaseConfig, batches [][]streamcard.Edge, shards int) (h
 			b = b[transportFrameEdges:]
 		}
 	}
-	if len(frames) == 0 {
-		return 0, 0, fmt.Errorf("transport: batch pool smaller than one %d-edge frame", transportFrameEdges)
-	}
 	bodies := make([][]byte, len(frames))
 	for i, f := range frames {
 		bodies[i] = stream.AppendWire(nil, f)
@@ -569,7 +395,7 @@ func transportPhase(cfg phaseConfig, batches [][]streamcard.Edge, shards int) (h
 
 	newServer := func() (*server.Server, net.Listener, error) {
 		s, err := server.New(server.Config{
-			MemoryBits: cfg.mbits, Shards: shards, Generations: cfg.gens, Seed: 1,
+			MemoryBits: memoryBits, Shards: scalingShards, Generations: generations, Seed: 1,
 		})
 		if err != nil {
 			return nil, nil, err
@@ -593,7 +419,7 @@ func transportPhase(cfg phaseConfig, batches [][]streamcard.Edge, shards int) (h
 		client := &http.Client{}
 		defer client.CloseIdleConnections()
 		url := "http://" + ln.Addr().String() + "/ingest"
-		deadline := time.Now().Add(dur)
+		deadline := time.Now().Add(transportLeg)
 		start := time.Now()
 		var edges int64
 		for i := 0; time.Now().Before(deadline); i++ {
@@ -658,7 +484,7 @@ func transportPhase(cfg phaseConfig, batches [][]streamcard.Edge, shards int) (h
 				<-sem
 			}
 		}()
-		deadline := time.Now().Add(dur)
+		deadline := time.Now().Add(transportLeg)
 		start := time.Now()
 		var buf []byte
 	write:
@@ -703,54 +529,40 @@ func transportPhase(cfg phaseConfig, batches [][]streamcard.Edge, shards int) (h
 	return httpEPS, tcpEPS, nil
 }
 
-// walSecondsCap bounds each leg-rep of the WAL-overhead phase; walReps
-// interleaved repetitions of the three legs are run and the best rep per
+// walLeg bounds each leg-rep of the WAL-overhead phase; walReps
+// interleaved repetitions of the two legs are run and the best rep per
 // leg kept (see the bottom of walPhase).
 const (
-	walSecondsCap = 0.75
-	walReps       = 3
+	walLeg  = 750 * time.Millisecond
+	walReps = 3
 )
 
 // walPhase measures what durability costs an ingest request: each leg
 // runs the server's per-request cycle — decode a pre-encoded text body
 // (the protocol CI's smoke jobs drive), append the batch to a real
 // on-disk log, pass the policy's group-commit barrier, absorb — on a
-// fresh stack. Three legs: no WAL at all (the request-cost baseline), the
+// fresh stack. Two legs: no WAL at all (the request-cost baseline) and the
 // interval policy (append is one buffered write(2); fsync rides the
-// background group-committer), and the always policy (a synchronous
-// fsync bounds every batch — the price of zero power-loss exposure,
-// reported but not gated).
+// background group-committer).
 //
-// The leg has the cardserved pipeline's shape, in miniature:
-// cfg.ingesters driver goroutines (the server handles requests
-// concurrently) each decode a request body, append to the log, pass the
-// commit barrier, and hand the batch to an absorber goroutine — because
-// that is where the server runs these steps (submit on request
-// goroutines, absorption on the shard executors), and the WAL's write
-// and fsync stalls are kernel waits that OVERLAP other requests' decode
-// and the executors' absorption there. A single-threaded
-// decode-append-absorb loop would charge every page-cache writeback
-// stall to the WAL serially and report disk bandwidth, not the overhead
-// the deployed ack path actually pays. Decode stays inside the loop for
-// the same fidelity: a request pays it before submit either way.
-func walPhase(cfg phaseConfig, batches [][]streamcard.Edge) (offEPS, intervalEPS, alwaysEPS float64, err error) {
-	if len(batches) > 16 {
-		batches = batches[:16]
+// The leg has the cardserved pipeline's shape, in miniature: two driver
+// goroutines (the server handles requests concurrently) each decode a
+// request body, append to the log, pass the commit barrier, and hand the
+// batch to an absorber goroutine — because that is where the server runs
+// these steps (submit on request goroutines, absorption on the shard
+// executors), and the WAL's write and fsync stalls are kernel waits that
+// OVERLAP other requests' decode and the executors' absorption there. A
+// single-threaded decode-append-absorb loop would charge every page-cache
+// writeback stall to the WAL serially and report disk bandwidth, not the
+// overhead the deployed ack path actually pays. Decode stays inside the
+// loop for the same fidelity: a request pays it before submit either way.
+func walPhase(batches [][]streamcard.Edge) (offEPS, intervalEPS float64, err error) {
+	bodies, err := textBodies(batches)
+	if err != nil {
+		return 0, 0, err
 	}
-	seconds := cfg.seconds
-	if seconds > walSecondsCap {
-		seconds = walSecondsCap
-	}
-	bodies := make([][]byte, len(batches))
-	for i, b := range batches {
-		var buf bytes.Buffer
-		if err := stream.WriteText(&buf, b); err != nil {
-			return 0, 0, 0, err
-		}
-		bodies[i] = buf.Bytes()
-	}
-	leg := func(policy wal.Policy, logged bool) (float64, error) {
-		s := buildStack(cfg.mbits, cfg.shards, cfg.gens)
+	leg := func(logged bool) (float64, error) {
+		s := buildStack(shards)
 		var w *wal.WAL
 		if logged {
 			dir, err := os.MkdirTemp("", "querybench-wal-")
@@ -758,7 +570,7 @@ func walPhase(cfg phaseConfig, batches [][]streamcard.Edge) (offEPS, intervalEPS
 				return 0, err
 			}
 			defer os.RemoveAll(dir)
-			w, err = wal.Open(wal.Options{Dir: dir, Fingerprint: []byte("querybench"), Policy: policy})
+			w, err = wal.Open(wal.Options{Dir: dir, Fingerprint: []byte("querybench"), Policy: wal.SyncInterval})
 			if err != nil {
 				return 0, err
 			}
@@ -773,45 +585,28 @@ func walPhase(cfg phaseConfig, batches [][]streamcard.Edge) (offEPS, intervalEPS
 				s.ObserveBatch(b)
 			}
 		}()
-		drivers := cfg.ingesters
-		if drivers < 2 {
-			drivers = 2
-		}
 		var (
 			driverWG sync.WaitGroup
 			edges    atomic.Int64
-			legMu    sync.Mutex
-			legErr   error
+			errs     = make(chan error, ingesters)
 		)
-		deadline := time.Now().Add(time.Duration(seconds * float64(time.Second)))
+		deadline := time.Now().Add(walLeg)
 		start := time.Now()
-		for d := 0; d < drivers; d++ {
+		for d := 0; d < ingesters; d++ {
 			driverWG.Add(1)
 			go func(d int) {
 				defer driverWG.Done()
-				fail := func(err error) {
-					legMu.Lock()
-					if legErr == nil {
-						legErr = err
-					}
-					legMu.Unlock()
-				}
-				for i := d; time.Now().Before(deadline); i += drivers {
+				for i := d; time.Now().Before(deadline); i += ingesters {
 					b, err := stream.ParseTextBatch(bytes.NewReader(bodies[i%len(bodies)]))
-					if err != nil {
-						fail(err)
-						return
+					if err == nil && w != nil {
+						var seq uint64
+						if seq, err = w.AppendBatch(b); err == nil {
+							err = w.Commit(seq)
+						}
 					}
-					if w != nil {
-						seq, err := w.AppendBatch(b)
-						if err != nil {
-							fail(err)
-							return
-						}
-						if err := w.Commit(seq); err != nil {
-							fail(err)
-							return
-						}
+					if err != nil {
+						errs <- err
+						return
 					}
 					queue <- b
 					edges.Add(int64(len(b)))
@@ -821,39 +616,34 @@ func walPhase(cfg phaseConfig, batches [][]streamcard.Edge) (offEPS, intervalEPS
 		driverWG.Wait()
 		close(queue)
 		absorbWG.Wait() // throughput counts the tail drain, like the server's /flush
-		if legErr != nil {
-			return 0, legErr
+		close(errs)
+		if err := <-errs; err != nil {
+			return 0, err
 		}
 		return float64(edges.Load()) / time.Since(start).Seconds(), nil
 	}
 	// Interleaved best-of-N: the host's spare CPU varies on the scale of a
 	// leg, and a slow slice landing on one leg would masquerade as WAL
-	// overhead (or hide it). Each rep runs all three legs back to back and
-	// the best rep per leg is kept — the standard way to measure cost, not
+	// overhead (or hide it). Each rep runs both legs back to back and the
+	// best rep per leg is kept — the standard way to measure cost, not
 	// contention.
 	for rep := 0; rep < walReps; rep++ {
-		off, err := leg(wal.SyncNever, false)
+		off, err := leg(false)
 		if err != nil {
-			return 0, 0, 0, err
+			return 0, 0, err
 		}
-		interval, err := leg(wal.SyncInterval, true)
+		interval, err := leg(true)
 		if err != nil {
-			return 0, 0, 0, err
-		}
-		always, err := leg(wal.SyncAlways, true)
-		if err != nil {
-			return 0, 0, 0, err
+			return 0, 0, err
 		}
 		offEPS = math.Max(offEPS, off)
 		intervalEPS = math.Max(intervalEPS, interval)
-		alwaysEPS = math.Max(alwaysEPS, always)
 	}
-	return offEPS, intervalEPS, alwaysEPS, nil
+	return offEPS, intervalEPS, nil
 }
 
-// scalingSecondsCap bounds each leg of the ingest-scaling phase; like the
-// wire phase, the ratio stabilizes well before the full phase duration.
-const scalingSecondsCap = 1.5
+// scalingLeg bounds each leg of the ingest-scaling phase.
+const scalingLeg = 1500 * time.Millisecond
 
 // ingestScalingPhase measures what the shard-executor pipeline buys over a
 // single ingest thread, on identical work: both legs run the same
@@ -868,23 +658,17 @@ const scalingSecondsCap = 1.5
 // the pool when the last shard finishes. Identical instructions, identical
 // per-shard sub-streams — the legs differ only in how many cores may work
 // at once, so the ratio isolates the pipeline's parallel speedup.
-func ingestScalingPhase(cfg phaseConfig, batches [][]streamcard.Edge, shards int) (serialEPS, parEPS float64) {
-	seconds := cfg.seconds
-	if seconds > scalingSecondsCap {
-		seconds = scalingSecondsCap
-	}
-	dur := time.Duration(seconds * float64(time.Second))
-
+func ingestScalingPhase(batches [][]streamcard.Edge) (serialEPS, parEPS float64) {
 	// Serial leg.
-	s := buildStack(cfg.mbits, shards, cfg.gens)
-	part := stream.NewPartitioner(shards, s.ShardIndex)
-	deadline := time.Now().Add(dur)
+	s := buildStack(scalingShards)
+	part := stream.NewPartitioner(scalingShards, s.ShardIndex)
+	deadline := time.Now().Add(scalingLeg)
 	start := time.Now()
 	var edges int64
 	for i := 0; time.Now().Before(deadline); i++ {
 		src := batches[i%len(batches)]
 		b := part.Split(src)
-		for t := 0; t < shards; t++ {
+		for t := 0; t < scalingShards; t++ {
 			if sub := b.Shard(t); len(sub) > 0 {
 				s.ObserveShardBatch(t, sub)
 			}
@@ -903,9 +687,9 @@ func ingestScalingPhase(cfg phaseConfig, batches [][]streamcard.Edge, shards int
 		sub []streamcard.Edge
 		b   *scaleBatch
 	}
-	s = buildStack(cfg.mbits, shards, cfg.gens)
-	part = stream.NewPartitioner(shards, s.ShardIndex)
-	queues := make([]chan scaleItem, shards)
+	s = buildStack(scalingShards)
+	part = stream.NewPartitioner(scalingShards, s.ShardIndex)
+	queues := make([]chan scaleItem, scalingShards)
 	var wg sync.WaitGroup
 	for i := range queues {
 		queues[i] = make(chan scaleItem, 64)
@@ -920,14 +704,14 @@ func ingestScalingPhase(cfg phaseConfig, batches [][]streamcard.Edge, shards int
 			}
 		}(i)
 	}
-	deadline = time.Now().Add(dur)
+	deadline = time.Now().Add(scalingLeg)
 	start = time.Now()
 	edges = 0
 	for i := 0; time.Now().Before(deadline); i++ {
 		src := batches[i%len(batches)]
 		b := &scaleBatch{part: part.Split(src)}
 		touched := 0
-		for t := 0; t < shards; t++ {
+		for t := 0; t < scalingShards; t++ {
 			if len(b.part.Shard(t)) > 0 {
 				touched++
 			}
@@ -937,7 +721,7 @@ func ingestScalingPhase(cfg phaseConfig, batches [][]streamcard.Edge, shards int
 			continue
 		}
 		b.remaining.Store(int32(touched))
-		for t := 0; t < shards; t++ {
+		for t := 0; t < scalingShards; t++ {
 			if sub := b.part.Shard(t); len(sub) > 0 {
 				queues[t] <- scaleItem{sub: sub, b: b}
 			}
@@ -952,18 +736,18 @@ func ingestScalingPhase(cfg phaseConfig, batches [][]streamcard.Edge, shards int
 	return serialEPS, parEPS
 }
 
-func buildStack(mbits, shards, gens int) *streamcard.Sharded {
-	per := mbits / shards
-	return streamcard.NewSharded(shards, func(int) streamcard.Estimator {
+func buildStack(n int) *streamcard.Sharded {
+	return streamcard.NewSharded(n, func(int) streamcard.Estimator {
 		return streamcard.NewWindowed(func() streamcard.Estimator {
-			return streamcard.NewFreeRS(per, streamcard.WithSeed(1))
-		}, streamcard.WithGenerations(gens))
+			return streamcard.NewFreeRS(memoryBits/n, streamcard.WithSeed(1))
+		}, streamcard.WithGenerations(generations))
 	})
 }
 
-// Analytics phase sizing: enough iterations per row to clear the
-// minSamples floor with headroom, and a serving-realistic k.
+// Analytics phase sizing: 20 cold-fold iterations per leg and a
+// serving-realistic k.
 const (
+	analyticsUsers = 120_000
 	analyticsIters = 20
 	analyticsK     = 10
 )
@@ -989,6 +773,9 @@ func (s serialView) Users(fn func(user uint64, estimate float64)) {
 	}
 }
 
+// RangeUsers keeps the serial leg on the shards' unordered enumeration, as
+// the parallel path is; without it TopKSerial would fall back to the sorted
+// Users scan, slowing the serial leg and flattering the scaling ratio.
 func (s serialView) RangeUsers(fn func(user uint64, estimate float64)) {
 	for i := 0; i < s.v.NumShards(); i++ {
 		if r, ok := s.v.ShardView(i).(streamcard.UserRanger); ok {
@@ -1007,26 +794,18 @@ func (s serialView) NumUsers() int {
 	return n
 }
 
-// analyticsPhase measures the analytics read path — top-k, sorted user
-// enumeration, user counts, merged totals — serial versus shard-parallel,
-// on a stack holding `users` distinct users spread across the live
-// generations. Each timed iteration runs on a freshly dirtied view: a
-// one-edge write lands in every shard first, so all fold caches are cold
-// and both legs pay the same fold work. The topk_cached row re-queries an
-// unchanged view; the phase fails if those repeats re-fold anything.
-func analyticsPhase(mbits, shards, gens, users int) (map[string][]float64, *streamcard.FoldStats, error) {
-	var fst streamcard.FoldStats
-	per := mbits / shards
-	s := streamcard.NewSharded(shards, func(int) streamcard.Estimator {
-		return streamcard.NewWindowed(func() streamcard.Estimator {
-			return streamcard.NewFreeRS(per, streamcard.WithSeed(1))
-		}, streamcard.WithGenerations(gens), streamcard.WithFoldStats(&fst))
-	})
+// analyticsPhase times top-k, serial versus shard-parallel, on a stack
+// holding analyticsUsers users spread across the live generations, and
+// returns both legs' latencies in µs. Each timed iteration runs on a
+// freshly dirtied view: a one-edge write lands in every shard first, so
+// all fold caches are cold and both legs pay the same fold work.
+func analyticsPhase() (serial, parallel []float64) {
+	s := buildStack(scalingShards)
 
 	// Fill: every user observed with 1..4 items, split across the window's
 	// generations so the folds sum several live sketches per shard.
 	rng := hashing.NewRNG(9)
-	fills := gens - 1
+	fills := generations - 1
 	batch := make([]streamcard.Edge, 0, 1<<16)
 	flush := func() {
 		if len(batch) > 0 {
@@ -1035,7 +814,7 @@ func analyticsPhase(mbits, shards, gens, users int) (map[string][]float64, *stre
 		}
 	}
 	for g := 0; g < fills; g++ {
-		for u := g; u < users; u += fills {
+		for u := g; u < analyticsUsers; u += fills {
 			for n := 1 + rng.Intn(4); n > 0; n-- {
 				batch = append(batch, streamcard.Edge{User: uint64(u) + 1, Item: rng.Uint64()})
 				if len(batch) == cap(batch) {
@@ -1051,315 +830,55 @@ func analyticsPhase(mbits, shards, gens, users int) (map[string][]float64, *stre
 
 	// One resident user per shard, so a round of touch writes dirties every
 	// shard and the next snapshot publishes all-cold folds.
-	touch := make([]uint64, 0, shards)
-	seen := make(map[int]bool, shards)
-	for u := uint64(1); len(touch) < shards && u < uint64(users)+1; u++ {
+	touch := make([]uint64, 0, scalingShards)
+	seen := make(map[int]bool, scalingShards)
+	for u := uint64(1); len(touch) < scalingShards && u <= analyticsUsers; u++ {
 		if i := s.ShardIndex(u); !seen[i] {
 			seen[i] = true
 			touch = append(touch, u)
 		}
 	}
-	freshView := func() *streamcard.ShardedView {
-		for _, u := range touch {
-			s.Observe(u, rng.Uint64())
-		}
-		return s.Snapshot()
-	}
-
-	// Bit-identity spot check before timing anything.
-	{
-		v := freshView()
-		if !reflect.DeepEqual(v.TopK(analyticsK), streamcard.TopKSerial(serialView{v}, analyticsK)) {
-			return nil, nil, fmt.Errorf("analytics: parallel top-k diverges from the serial reference")
-		}
-	}
-
-	lat := map[string][]float64{}
-	row := func(kind string, fn func(v *streamcard.ShardedView)) {
+	leg := func(topk func(v *streamcard.ShardedView)) []float64 {
+		lat := make([]float64, 0, analyticsIters)
 		for i := 0; i < analyticsIters; i++ {
-			v := freshView()
+			for _, u := range touch {
+				s.Observe(u, rng.Uint64())
+			}
+			v := s.Snapshot()
 			t0 := time.Now()
-			fn(v)
-			lat[kind] = append(lat[kind], float64(time.Since(t0).Microseconds()))
+			topk(v)
+			lat = append(lat, float64(time.Since(t0).Microseconds()))
 		}
+		return lat
 	}
-	row("topk_serial", func(v *streamcard.ShardedView) { streamcard.TopKSerial(serialView{v}, analyticsK) })
-	row("topk", func(v *streamcard.ShardedView) { v.TopK(analyticsK) })
-	row("users_serial", func(v *streamcard.ShardedView) { serialView{v}.RangeUsers(func(uint64, float64) {}) })
-	row("users", func(v *streamcard.ShardedView) { v.RangeUsers(func(uint64, float64) {}) })
-	row("numusers_serial", func(v *streamcard.ShardedView) { serialView{v}.NumUsers() })
-	row("numusers", func(v *streamcard.ShardedView) { v.NumUsers() })
-	row("merged_total", func(v *streamcard.ShardedView) { v.TotalDistinctMerged() })
-
-	// Cached repeats: one fresh view, one warming query, then timed repeats
-	// that must re-fold nothing.
-	v := freshView()
-	_ = v.TopK(analyticsK)
-	computes := fst.Computes()
-	for i := 0; i < analyticsIters; i++ {
-		t0 := time.Now()
-		_ = v.TopK(analyticsK)
-		lat["topk_cached"] = append(lat["topk_cached"], float64(time.Since(t0).Microseconds()))
-	}
-	if got := fst.Computes(); got != computes {
-		return nil, nil, fmt.Errorf("analytics: repeated top-k on an unchanged view re-folded (computes %d -> %d)", computes, got)
-	}
-	return lat, &fst, nil
+	serial = leg(func(v *streamcard.ShardedView) { streamcard.TopKSerial(serialView{v}, analyticsK) })
+	parallel = leg(func(v *streamcard.ShardedView) { v.TopK(analyticsK) })
+	return serial, parallel
 }
 
-// makeBatches pre-generates a bursty stream sliced into ObserveBatch-sized
-// chunks, so the measured phases do no generation work.
-func makeBatches(edges, batch, users int, seed uint64) [][]streamcard.Edge {
-	rng := hashing.NewRNG(seed)
-	all := make([]streamcard.Edge, 0, edges)
-	for len(all) < edges {
+// makeBatches pre-generates a bursty stream of poolEdges edges sliced into
+// batchEdges-sized chunks, so the measured phases do no generation work.
+func makeBatches() [][]streamcard.Edge {
+	rng := hashing.NewRNG(1)
+	all := make([]streamcard.Edge, 0, poolEdges)
+	for len(all) < poolEdges {
 		u := uint64(rng.Intn(users) + 1)
 		run := rng.Intn(8) + 1
-		for r := 0; r < run && len(all) < edges; r++ {
+		for r := 0; r < run && len(all) < poolEdges; r++ {
 			all = append(all, streamcard.Edge{User: u, Item: rng.Uint64()})
 		}
 	}
 	var batches [][]streamcard.Edge
-	for i := 0; i < len(all); i += batch {
-		end := i + batch
-		if end > len(all) {
-			end = len(all)
-		}
-		batches = append(batches, all[i:end])
+	for i := 0; i < len(all); i += batchEdges {
+		batches = append(batches, all[i:min(i+batchEdges, len(all))])
 	}
 	return batches
 }
 
 func warmup(s *streamcard.Sharded, batches [][]streamcard.Edge) {
-	n := len(batches)
-	if n > 16 {
-		n = 16
-	}
-	for _, b := range batches[:n] {
+	for _, b := range batches[:16] {
 		s.ObserveBatch(b)
 	}
 	_ = s.Snapshot()
 	_ = s.Estimate(1)
-}
-
-// phaseConfig carries the shared knobs of both measured phases.
-type phaseConfig struct {
-	mbits, shards, gens, users int
-	ingesters, qps, rotatems   int
-	seconds                    float64
-}
-
-// Heavy-query pacing: real monitors scrape aggregates on wall-clock
-// schedules, not per point query, so the contended phase issues them the
-// same way — one ops querier fires top-k, totals, and user counts at these
-// periods while the rest of the fleet runs paced point estimates. The
-// periods are chosen so a default 3 s phase collects ≥ minSamples of each
-// gated kind (earlier 1–2 s periods yielded 2–3 samples, which made the
-// reported p95/p99 pure noise). The merged total — a register-level fold
-// over every generation, milliseconds by design — keeps a slow scrape-rate
-// cadence; its handful of samples is exactly what the minSamples
-// suppression exists for.
-const (
-	topkEvery        = 150 * time.Millisecond
-	totalEvery       = 120 * time.Millisecond
-	numusersEvery    = 130 * time.Millisecond
-	mergedTotalEvery = 1 * time.Second
-)
-
-// runPhase cycles the batch pool through the ingester goroutines for the
-// configured duration (the window keeps every cycle write-heavy: each
-// rotation opens a fresh generation that re-absorbs recurring pairs), with
-// an optional rotation ticker and an optional query fleet, and returns the
-// ingest throughput plus the query latencies by kind.
-func runPhase(cfg phaseConfig, batches [][]streamcard.Edge, queriers int) (edgesPerSec float64, lat map[string][]float64, queries int) {
-	s := buildStack(cfg.mbits, cfg.shards, cfg.gens)
-
-	var done atomic.Bool
-	var stopRot chan struct{}
-	var rotWG sync.WaitGroup
-	if cfg.rotatems > 0 {
-		stopRot = make(chan struct{})
-		rotWG.Add(1)
-		go func() {
-			defer rotWG.Done()
-			t := time.NewTicker(time.Duration(cfg.rotatems) * time.Millisecond)
-			defer t.Stop()
-			for {
-				select {
-				case <-t.C:
-					s.Rotate()
-				case <-stopRot:
-					return
-				}
-			}
-		}()
-	}
-
-	lat = map[string][]float64{}
-	var latMu sync.Mutex
-	merge := func(local map[string][]float64) {
-		latMu.Lock()
-		for k, v := range local {
-			lat[k] = append(lat[k], v...)
-		}
-		latMu.Unlock()
-	}
-	timed := func(local map[string][]float64, kind string, fn func()) {
-		t0 := time.Now()
-		fn()
-		local[kind] = append(local[kind], float64(time.Since(t0).Microseconds()))
-	}
-
-	var queryWG sync.WaitGroup
-	if queriers > 0 {
-		// Querier 0 is the ops querier: the heavy aggregate kinds on their
-		// wall-clock schedules.
-		queryWG.Add(1)
-		go func() {
-			defer queryWG.Done()
-			local := map[string][]float64{}
-			var lastTopk, lastTotal, lastNum, lastMerged time.Time
-			for !done.Load() {
-				now := time.Now()
-				switch {
-				case now.Sub(lastTopk) >= topkEvery:
-					lastTopk = now
-					timed(local, "topk", func() { _ = streamcard.TopK(s.Snapshot(), 10) })
-				case now.Sub(lastTotal) >= totalEvery:
-					lastTotal = now
-					// The anytime total: what a plain GET /total serves.
-					timed(local, "total", func() { _ = s.Snapshot().TotalDistinct() })
-				case now.Sub(lastNum) >= numusersEvery:
-					lastNum = now
-					timed(local, "numusers", func() { _ = s.NumUsers() })
-				case now.Sub(lastMerged) >= mergedTotalEvery:
-					lastMerged = now
-					// The union reading (/total?method=merged), with the
-					// server's fallback to the sum on a merge error.
-					timed(local, "merged_total", func() {
-						v := s.Snapshot()
-						if _, err := v.TotalDistinctMerged(); err != nil {
-							_ = v.TotalDistinct()
-						}
-					})
-				default:
-					time.Sleep(5 * time.Millisecond)
-				}
-			}
-			merge(local)
-		}()
-	}
-	estimators := queriers - 1
-	var interval time.Duration
-	if cfg.qps > 0 && estimators > 0 {
-		interval = time.Duration(float64(estimators) / float64(cfg.qps) * float64(time.Second))
-	}
-	for q := 0; q < estimators; q++ {
-		queryWG.Add(1)
-		go func(seed uint64) {
-			defer queryWG.Done()
-			rng := hashing.NewRNG(seed)
-			local := map[string][]float64{}
-			for !done.Load() {
-				timed(local, "estimate", func() { _ = s.Estimate(uint64(rng.Intn(cfg.users) + 1)) })
-				if interval > 0 {
-					time.Sleep(interval)
-				}
-			}
-			merge(local)
-		}(uint64(1000 + q))
-	}
-	// Give the query fleet a beat to spin up before timing ingest.
-	if queriers > 0 {
-		time.Sleep(10 * time.Millisecond)
-	}
-
-	var next atomic.Int64
-	var ingested atomic.Int64
-	var ingestWG sync.WaitGroup
-	deadline := time.Now().Add(time.Duration(cfg.seconds * float64(time.Second)))
-	start := time.Now()
-	for w := 0; w < cfg.ingesters; w++ {
-		ingestWG.Add(1)
-		go func() {
-			defer ingestWG.Done()
-			for time.Now().Before(deadline) {
-				b := batches[int(next.Add(1)-1)%len(batches)]
-				s.ObserveBatch(b)
-				ingested.Add(int64(len(b)))
-			}
-		}()
-	}
-	ingestWG.Wait()
-	elapsed := time.Since(start).Seconds()
-
-	done.Store(true)
-	queryWG.Wait()
-	if stopRot != nil {
-		close(stopRot)
-		rotWG.Wait()
-	}
-	for _, v := range lat {
-		queries += len(v)
-	}
-	return float64(ingested.Load()) / elapsed, lat, queries
-}
-
-// snapshotPublishBytes measures the allocation cost of reading a view: a
-// single-user write dirties the stack, then the Snapshot call — and only
-// it — is bracketed by allocation readings. The first round's Snapshot arms
-// publication with a cut under every shard lock, a cost amortized over the
-// rounds; after it, the write itself publishes the new view and pays the
-// lazy copy-on-write detach, both inside the write and outside the bracket
-// — so the bracket isolates exactly what a reader pays, which the cost
-// model says is one atomic load: small and size-independent.
-func snapshotPublishBytes(mbits, shards, gens int) float64 {
-	s := buildStack(mbits, shards, gens)
-	for _, b := range makeBatches(200_000, 8192, 100_000, 3) {
-		s.ObserveBatch(b)
-	}
-	const rounds = 64
-	var ms1, ms2 runtime.MemStats
-	var total uint64
-	for i := 0; i < rounds; i++ {
-		s.Observe(uint64(i%1000+1), uint64(i)|1<<40)
-		runtime.ReadMemStats(&ms1)
-		_ = s.Snapshot()
-		runtime.ReadMemStats(&ms2)
-		total += ms2.TotalAlloc - ms1.TotalAlloc
-	}
-	return float64(total) / rounds
-}
-
-// minSamples is the floor below which summarize refuses to extract
-// percentiles: an index into a 2-sample sorted slice is not a p99, and the
-// gates refuse to certify kinds that stayed under the floor.
-const minSamples = 16
-
-// summarize sorts each kind's latencies and extracts percentiles, marking
-// kinds with fewer than minSamples observations instead of reporting
-// meaningless quantiles.
-func summarize(lat map[string][]float64) map[string]LatencySummary {
-	out := map[string]LatencySummary{}
-	for kind, v := range lat {
-		if len(v) == 0 {
-			continue
-		}
-		if len(v) < minSamples {
-			out[kind] = LatencySummary{Count: len(v), TooFewSamples: true}
-			continue
-		}
-		sort.Float64s(v)
-		pct := func(p float64) float64 {
-			i := int(p * float64(len(v)-1))
-			return v[i]
-		}
-		out[kind] = LatencySummary{
-			Count: len(v),
-			P50Us: pct(0.50),
-			P95Us: pct(0.95),
-			P99Us: pct(0.99),
-		}
-	}
-	return out
 }

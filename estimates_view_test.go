@@ -106,6 +106,34 @@ func TestArmedAbsorbCopiesNoArray(t *testing.T) {
 	}
 }
 
+// TestSnapshotAfterWriteAllocatesNothing pins what a reader pays on a served
+// Sharded(Windowed(...)) stack: once armed, every write publishes the view,
+// so a Snapshot taken right after a write is one atomic load and allocates
+// nothing, at two sketch sizes 4x apart. A read that rebuilt or copied the
+// view would allocate, and one that copied arrays would grow with M.
+func TestSnapshotAfterWriteAllocatesNothing(t *testing.T) {
+	const shards = 4
+	for _, bits := range []int{1 << 22, 1 << 24} {
+		s := NewSharded(shards, func(int) Estimator {
+			return NewWindowed(func() Estimator { return NewFreeRS(bits/shards, WithSeed(1)) }, WithGenerations(4))
+		})
+		rng := hashing.NewRNG(3)
+		s.ObserveBatch(randomBatch(rng, 200_000))
+		s.Snapshot() // arms publication
+		var total uint64
+		for i := 0; i < 64; i++ {
+			s.Observe(uint64(i%1000+1), rng.Uint64())
+			total += allocBytes(func() { _ = s.Snapshot() })
+		}
+		if total != 0 {
+			t.Fatalf("M=%d: 64 post-write snapshots allocated %d B, want 0", bits, total)
+		}
+		if n := testing.AllocsPerRun(64, func() { _ = s.Snapshot() }); n != 0 {
+			t.Fatalf("M=%d: Snapshot made %v allocations per call, want 0", bits, n)
+		}
+	}
+}
+
 // sketchStats returns the array-derived readings of a FreeBS/FreeRS (for a
 // Windowed, of every live generation in order): the running total, the
 // array's own total and the change probability.

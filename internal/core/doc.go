@@ -43,10 +43,11 @@
 //     bytes per slot in two pointer-free parallel slices, Robin Hood
 //     probing at up to 31/32 occupancy, no tombstones because users are
 //     never deleted individually (Reset discards wholesale). At 1M users
-//     that is ~17 bytes/user resident versus ~37 for the
-//     map[uint64]float64 it replaced (cmd/corebench measures both against
-//     bit-identical work), with nothing for the garbage collector to
-//     trace.
+//     that measured ~17 bytes/user resident versus ~37 for the
+//     map[uint64]float64 it replaced, when the store was introduced, with
+//     nothing for the garbage collector to trace.
+//     The map-twin tests in maptwin_test.go keep the two stores
+//     bit-identical.
 //
 // The table also fixes enumeration semantics: Users (and the serialized
 // estimate section, envelope version 2) is key-sorted — equal logical

@@ -38,12 +38,13 @@
 // /topk, /users) and the /metrics gauges serve from the stack's atomically
 // published estimates-only view (streamcard.Sharded.Snapshot) instead of
 // taking the sketch locks — a stalled /users reader cannot hold any sketch
-// lock at all, and ingest throughput is unaffected by concurrent query
-// load (cmd/querybench measures exactly this). The checkpoint writer and
-// the merged /total read the array words, which published views do not
-// carry: they take a full cut (streamcard.Sharded.FullSnapshot) that holds
-// the shard locks only while its O(1) forks are taken, so a slow
-// checkpoint fsync still holds no sketch lock. The write path — shard
+// lock at all, and a read never waits on an absorbing batch
+// (cmd/querybench gates the /estimate and /total tails under ingest). The
+// checkpoint writer and the merged /total read the array words, which
+// published views do not carry: they take a full cut
+// (streamcard.Sharded.FullSnapshot) that holds the shard locks only while
+// its O(1) forks are taken, so a slow checkpoint fsync still holds no
+// sketch lock. The write path — shard
 // executors and epoch rotation — is the only lock domain left: rotation
 // is a quiesce cut over the whole pipeline (the ingest gate excludes new
 // submissions, then the cut waits for every submitted batch to be fully

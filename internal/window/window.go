@@ -66,9 +66,11 @@ func WithClock(now Clock) Option { return func(c *config) { c.clock = now } }
 // Ring holds up to k live generations of E, newest first. All access runs
 // under one mutex, which is what makes rotation safe to interleave with
 // batched ingestion: a Feed call is attributed wholly to the epoch current
-// at its start, and a concurrent Rotate or Tick waits for it.
+// at its start, and a concurrent Rotate or Tick waits for it. A sealed ring
+// (NewSealed) never changes, so its readers skip the mutex.
 type Ring[E any] struct {
 	mu       sync.Mutex
+	sealed   bool
 	build    func() E
 	gens     []E // gens[0] is the current generation, gens[len-1] the oldest live
 	k        int
@@ -141,6 +143,43 @@ func NewAdopted[E any](k int, build func() E, gens []E, epoch, edges uint64, opt
 	return r, nil
 }
 
+// NewSealed returns an immutable ring holding the given live generations
+// (newest first) at the given epoch and edges-in-epoch count, under the same
+// invariants as Adopt — the ring behind a frozen snapshot view. Feed,
+// Rotate, Tick and Adopt panic on it, and its readers take no lock, so any
+// number of goroutines read it without serializing on each other.
+func NewSealed[E any](k int, gens []E, epoch, edges uint64) (*Ring[E], error) {
+	r := &Ring[E]{k: k, clock: time.Now, sealed: true}
+	if err := r.adoptLocked(gens, epoch, edges); err != nil {
+		return nil, err
+	}
+	return r, nil
+}
+
+// lock takes the ring mutex for a read, unless the ring is sealed and so
+// cannot change under the reader.
+func (r *Ring[E]) lock() {
+	if !r.sealed {
+		r.mu.Lock()
+	}
+}
+
+// unlock releases what lock took.
+func (r *Ring[E]) unlock() {
+	if !r.sealed {
+		r.mu.Unlock()
+	}
+}
+
+// lockToMutate takes the ring mutex for a state change; it panics on a
+// sealed ring, which refuses every mutation.
+func (r *Ring[E]) lockToMutate(op string) {
+	if r.sealed {
+		panic("window: " + op + " on a sealed ring")
+	}
+	r.mu.Lock()
+}
+
 func mustBuild[E any](build func() E) E {
 	g := build()
 	if any(g) == nil {
@@ -172,23 +211,23 @@ func (r *Ring[E]) K() int { return r.k }
 
 // Epoch returns how many rotations have happened.
 func (r *Ring[E]) Epoch() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
+	r.lock()
+	defer r.unlock()
 	return r.epoch
 }
 
 // Live returns the number of live generations (1 before the first rotation,
 // growing to k).
 func (r *Ring[E]) Live() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
+	r.lock()
+	defer r.unlock()
 	return len(r.gens)
 }
 
 // EdgesInEpoch returns how many edges the current epoch has absorbed.
 func (r *Ring[E]) EdgesInEpoch() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
+	r.lock()
+	defer r.unlock()
 	return r.edges
 }
 
@@ -199,7 +238,7 @@ func (r *Ring[E]) EdgesInEpoch() uint64 {
 // current when Feed began, and any boundary it crosses takes effect only
 // after the batch is fully absorbed.
 func (r *Ring[E]) Feed(n uint64, fn func(current E)) {
-	r.mu.Lock()
+	r.lockToMutate("Feed")
 	defer r.mu.Unlock()
 	fn(r.gens[0])
 	r.edges += n
@@ -221,16 +260,16 @@ func (r *Ring[E]) Version() uint64 { return r.ver.Load() }
 // triple stamped with the version to publish it under. The same caveats as
 // View apply: fn must not retain the slice or call back into the ring.
 func (r *Ring[E]) ViewStamped(fn func(gens []E, epoch, edges, ver uint64)) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
+	r.lock()
+	defer r.unlock()
 	fn(r.gens, r.epoch, r.edges, r.ver.Load())
 }
 
 // View runs fn on the live generations, newest first, under the ring lock.
 // fn must not retain the slice or rotate/feed the ring (deadlock).
 func (r *Ring[E]) View(fn func(live []E)) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
+	r.lock()
+	defer r.unlock()
 	fn(r.gens)
 }
 
@@ -238,8 +277,8 @@ func (r *Ring[E]) View(fn func(live []E)) {
 // current epoch, and the edges the current epoch has absorbed. The
 // generations themselves are shared, not cloned.
 func (r *Ring[E]) Snapshot() (gens []E, epoch, edges uint64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
+	r.lock()
+	defer r.unlock()
 	return append([]E(nil), r.gens...), r.epoch, r.edges
 }
 
@@ -247,7 +286,7 @@ func (r *Ring[E]) Snapshot() (gens []E, epoch, edges uint64) {
 // discarded, every survivor ages one slot, and a fresh generation starts
 // receiving edges. It returns the new epoch number.
 func (r *Ring[E]) Rotate() uint64 {
-	r.mu.Lock()
+	r.lockToMutate("Rotate")
 	defer r.mu.Unlock()
 	r.rotateLocked()
 	return r.epoch
@@ -257,7 +296,7 @@ func (r *Ring[E]) Rotate() uint64 {
 // it rotated — the hook a timer goroutine calls so duration-driven epochs
 // also end during traffic lulls.
 func (r *Ring[E]) Tick() bool {
-	r.mu.Lock()
+	r.lockToMutate("Tick")
 	defer r.mu.Unlock()
 	if !r.boundary.End(r.edges, r.start, r.clock) {
 		return false
@@ -290,7 +329,7 @@ func (r *Ring[E]) rotateLocked() {
 // restore, since the original start instant is not meaningful across a
 // process restart.
 func (r *Ring[E]) Adopt(gens []E, epoch, edges uint64) error {
-	r.mu.Lock()
+	r.lockToMutate("Adopt")
 	defer r.mu.Unlock()
 	return r.adoptLocked(gens, epoch, edges)
 }

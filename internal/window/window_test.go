@@ -143,6 +143,44 @@ func TestRingSnapshotAndAdopt(t *testing.T) {
 	}
 }
 
+// TestSealedRingReadsWithoutLock: a sealed ring answers every read while
+// its mutex is held elsewhere, so readers sharing a view never wait on each
+// other, and it refuses every mutation.
+func TestSealedRingReadsWithoutLock(t *testing.T) {
+	if _, err := NewSealed(3, []*gen{{}}, 5, 0); err == nil {
+		t.Fatal("1 live generation at epoch 5 of a k=3 ring accepted")
+	}
+	r, err := NewSealed(3, []*gen{{edges: 8}, {edges: 7}}, 1, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.mu.Lock()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		r.Snapshot()
+		r.ViewStamped(func([]*gen, uint64, uint64, uint64) {})
+		r.View(func([]*gen) {})
+		r.Epoch()
+		r.Live()
+		r.EdgesInEpoch()
+	}()
+	select {
+	case <-done:
+	case <-time.After(time.Second):
+		t.Fatal("a read of a sealed ring waited on the ring mutex")
+	}
+	r.mu.Unlock()
+
+	mustPanic(t, func() { feed(r, 1) })
+	mustPanic(t, func() { r.Rotate() })
+	mustPanic(t, func() { r.Tick() })
+	mustPanic(t, func() { r.Adopt([]*gen{{}}, 0, 0) })
+	if got := liveEdges(r); len(got) != 2 || got[0] != 8 || got[1] != 7 || r.Epoch() != 1 || r.EdgesInEpoch() != 8 {
+		t.Fatalf("sealed ring reads live %v epoch %d edges %d, want [8 7] 1 8", got, r.Epoch(), r.EdgesInEpoch())
+	}
+}
+
 func TestRingPanics(t *testing.T) {
 	mustPanic(t, func() { New(1, func() *gen { return &gen{} }) })
 	mustPanic(t, func() { New[*gen](2, nil) })

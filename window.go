@@ -43,8 +43,10 @@ import (
 // per-user table forked copy-on-write, logically frozen as one consistent
 // (generations, epoch) cut — so a long user enumeration never holds the
 // ring lock, and a rotation publishes the next epoch's snapshot set instead
-// of quiescing readers. See Snapshot for the mechanism and the freshness
-// contract.
+// of quiescing readers. A view is immutable: it reads its sealed ring
+// without taking any lock, so readers sharing it never wait on each other,
+// and every mutator panics on it. See Snapshot for the mechanism and the
+// freshness contract.
 //
 // Windowed also supports Users/NumUsers (so TopK and SpreaderDetector run on
 // windows), generation-wise Merge/Clone, and MarshalBinary/UnmarshalBinary
@@ -64,8 +66,8 @@ type Windowed struct {
 	pub atomic.Pointer[windowedPub]
 
 	// foldOnce/fold cache userSums on frozen views (built by Snapshot or
-	// fullSnapshot; their ring never moves again): computed at most once
-	// per view and served to every later analytics read of that view. A
+	// fullSnapshot on a sealed ring, which never moves): computed at most
+	// once per view and served to every later analytics read of that view. A
 	// new publication is a new frozen view, so invalidation is automatic —
 	// the same pattern as ShardedView's cached merged union.
 	foldOnce sync.Once
@@ -203,31 +205,17 @@ func forkFull(e Estimator) Estimator {
 // forkView returns a generation's estimates-only view (Snapshotter).
 func forkView(e Estimator) Estimator { return e.(Snapshotter).SnapshotView() }
 
-// adoptWindowed assembles a Windowed directly around existing generations —
-// no throwaway initial generation is built — at the given epoch
-// bookkeeping. It is the constructor behind Snapshot and Clone.
-func adoptWindowed(build func() Estimator, cfg windowedConfig, name string, gens []Estimator, epoch, edges uint64) (*Windowed, error) {
-	ring, err := window.NewAdopted(cfg.k, build, gens, epoch, edges,
-		window.WithBoundary(cfg.boundary), window.WithClock(cfg.clock))
-	if err != nil {
-		return nil, err
-	}
-	w := &Windowed{build: build, ring: ring, cfg: cfg, name: name}
-	if cfg.onRetire != nil {
-		ring.OnRetire(cfg.onRetire)
-	}
-	return w, nil
-}
-
 // Snapshot returns an O(1), logically frozen, estimates-only view of the
 // whole window — every live generation's per-user table forked
 // copy-on-write plus its array statistics, and the epoch bookkeeping; it is
 // never nil. The view is itself a *Windowed, so every estimate read
 // (Estimate, TotalDistinct, Users, RangeUsers, NumUsers, TopK) works on it
 // unchanged and equals the live window's at the same instant bit for bit,
-// with no synchronization against ongoing ingestion. The view carries
-// no array words (see Snapshotter): MarshalBinary on it returns an error,
-// Merge from it reports ErrIncompatible, and Clone panics.
+// with no synchronization against ongoing ingestion, and readers of one
+// view never lock or wait on each other. The view is immutable: Observe,
+// ObserveBatch, Rotate, Tick, UnmarshalBinary and Merge into it panic. It
+// carries no array words (see Snapshotter): MarshalBinary on it returns an
+// error, Merge from it reports ErrIncompatible, and Clone panics.
 // Checkpoint and merge the live Windowed instead, or a
 // Sharded.FullSnapshot cut. Taking the view leaves the arrays unshared, so
 // the writer's next write pays at most a copy of the current generation's
@@ -294,21 +282,31 @@ func (w *Windowed) fullSnapshot() *Windowed {
 }
 
 // freeze assembles a frozen view from fork applied to every live
-// generation. The caller holds the ring lock, so the forks and the epoch
-// bookkeeping describe one instant.
+// generation, on a sealed ring. The caller holds the ring lock, so the
+// forks and the epoch bookkeeping describe one instant.
 func (w *Windowed) freeze(gens []Estimator, epoch, edges uint64, fork func(Estimator) Estimator) (*Windowed, error) {
 	snaps := make([]Estimator, len(gens))
 	for i, g := range gens {
 		snaps[i] = fork(g)
 	}
-	frozen, err := adoptWindowed(w.build, w.cfg, w.name, snaps, epoch, edges)
+	ring, err := window.NewSealed(w.cfg.k, snaps, epoch, edges)
 	if err != nil {
 		return nil, err
 	}
+	frozen := &Windowed{build: w.build, ring: ring, cfg: w.cfg, name: w.name}
 	// A view answers Snapshot with itself (its ring never moves), so reads
 	// routed through Snapshot resolve in one hop on views.
-	frozen.pub.Store(&windowedPub{win: frozen, ver: frozen.ring.Version()})
+	frozen.pub.Store(&windowedPub{win: frozen, ver: ring.Version()})
 	return frozen, nil
+}
+
+// mustBeLive panics when w is a view (Snapshot answers a view with
+// itself): a view's generations are shared with its readers and its fold
+// cache, so it refuses every mutation.
+func (w *Windowed) mustBeLive(op string) {
+	if p := w.pub.Load(); p != nil && p.win == w {
+		panic(fmt.Sprintf("streamcard: %s on a read-only %s snapshot view; call it on the live Windowed", op, w.name))
+	}
 }
 
 // SnapshotView implements Snapshotter.
@@ -316,6 +314,7 @@ func (w *Windowed) SnapshotView() Estimator { return w.Snapshot() }
 
 // Observe implements Estimator (feeds the newest generation).
 func (w *Windowed) Observe(user, item uint64) {
+	w.mustBeLive("Observe")
 	w.ring.Feed(1, func(e Estimator) { e.Observe(user, item) })
 }
 
@@ -324,6 +323,7 @@ func (w *Windowed) Observe(user, item uint64) {
 // Rotate or Tick until the whole batch has been absorbed, and an automatic
 // boundary the batch crosses takes effect only after it.
 func (w *Windowed) ObserveBatch(edges []Edge) {
+	w.mustBeLive("ObserveBatch")
 	if len(edges) == 0 {
 		return
 	}
@@ -332,7 +332,8 @@ func (w *Windowed) ObserveBatch(edges []Edge) {
 
 // Estimate implements Estimator: the sum over live generations, taken over
 // the published frozen view — the ring lock is held (if at all) only for
-// the O(k) snapshot refresh, never for the read itself.
+// the O(k) snapshot refresh, never for the read itself, which runs on the
+// view's sealed ring without a lock.
 func (w *Windowed) Estimate(user uint64) float64 {
 	if v := w.Snapshot(); v != w {
 		return v.Estimate(user)
@@ -380,13 +381,19 @@ func (w *Windowed) Name() string { return w.name }
 // receiving edges. Explicit-rotation deployments call it once per epoch
 // length; automatic policies (WithRotateEveryEdges, WithRotateEvery) call it
 // internally.
-func (w *Windowed) Rotate() { w.ring.Rotate() }
+func (w *Windowed) Rotate() {
+	w.mustBeLive("Rotate")
+	w.ring.Rotate()
+}
 
 // Tick re-checks the rotation policy without observing anything and reports
 // whether it rotated. Wall-time deployments call it from a timer so epochs
 // also end while no edges arrive; under WithRotateEveryEdges or manual
 // rotation it never fires.
-func (w *Windowed) Tick() bool { return w.ring.Tick() }
+func (w *Windowed) Tick() bool {
+	w.mustBeLive("Tick")
+	return w.ring.Tick()
+}
 
 // Epoch returns how many rotations have happened.
 func (w *Windowed) Epoch() int { return int(w.ring.Epoch()) }
@@ -522,9 +529,11 @@ func (w *Windowed) computeUserSums() *usertab.Table {
 // must be built with identical parameters, and both should be quiescent (no
 // concurrent ingestion) for the duration of the call. An estimates-only
 // view from Snapshot holds no arrays to union: as other it reports
-// ErrIncompatible. The fold runs on a clone of w that replaces w's state
-// only on success, so on error w is unchanged.
+// ErrIncompatible, and Merge into any view panics. The fold runs on a
+// clone of w that replaces w's state only on success, so on error w is
+// unchanged.
 func (w *Windowed) Merge(other *Windowed) error {
+	w.mustBeLive("Merge")
 	if other == nil {
 		return fmt.Errorf("streamcard: Windowed.Merge(nil): %w", ErrIncompatible)
 	}
@@ -592,11 +601,15 @@ func (w *Windowed) Clone() *Windowed {
 			clones[i] = g.(*FreeRS).Clone()
 		}
 	}
-	c, err := adoptWindowed(w.build, w.cfg, w.name, clones, epoch, edges)
+	ring, err := window.NewAdopted(w.cfg.k, w.build, clones, epoch, edges,
+		window.WithBoundary(w.cfg.boundary), window.WithClock(w.cfg.clock))
 	if err != nil {
 		panic(fmt.Sprintf("streamcard: Windowed.Clone: %v", err)) // ring invariants guarantee this cannot happen
 	}
-	return c
+	if w.cfg.onRetire != nil {
+		ring.OnRetire(w.cfg.onRetire)
+	}
+	return &Windowed{build: w.build, ring: ring, cfg: w.cfg, name: w.name}
 }
 
 // MarshalBinary serializes every live generation plus the epoch bookkeeping
@@ -622,7 +635,9 @@ func (w *Windowed) MarshalBinary() ([]byte, error) {
 // (ErrIncompatible otherwise) and a build function matching the
 // checkpointed sketches' parameters, so post-restore rotations stay
 // compatible. The receiver's previous state is replaced only on success.
+// It panics on a view, which is immutable.
 func (w *Windowed) UnmarshalBinary(data []byte) error {
+	w.mustBeLive("UnmarshalBinary")
 	k, epoch, edges, payloads, err := core.UnmarshalWindow(data)
 	if err != nil {
 		return err

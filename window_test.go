@@ -426,6 +426,45 @@ func TestWindowedPanics(t *testing.T) {
 	mustPanic(t, func() { NewWindowed(func() Estimator { return NewCSE(1<<12, 64) }) })
 }
 
+// TestWindowedViewRefusesMutation: a view is immutable. Every mutator
+// panics with a message naming the view, on the estimates-only published
+// view and on a full cut alike, and the view still answers as before; a
+// mutated view would move its readers' and its fold cache's ring.
+func TestWindowedViewRefusesMutation(t *testing.T) {
+	build := func() Estimator { return NewFreeRS(1<<14, WithSeed(3)) }
+	w := NewWindowed(build, WithGenerations(3), WithRotateEvery(time.Nanosecond))
+	w.ObserveBatch(randomBatch(hashing.NewRNG(4), 2000))
+	ckpt, err := w.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	other := NewWindowed(build, WithGenerations(3))
+	for name, v := range map[string]*Windowed{"view": w.Snapshot(), "full cut": w.fullSnapshot()} {
+		epoch, total := v.Epoch(), v.TotalDistinct()
+		for op, fn := range map[string]func(){
+			"Observe":         func() { v.Observe(1, 2) },
+			"ObserveBatch":    func() { v.ObserveBatch([]Edge{{User: 1, Item: 2}}) },
+			"Rotate":          v.Rotate,
+			"Tick":            func() { v.Tick() },
+			"UnmarshalBinary": func() { v.UnmarshalBinary(ckpt) },
+			"Merge":           func() { v.Merge(other) },
+		} {
+			func() {
+				defer func() {
+					msg, _ := recover().(string)
+					if !strings.Contains(msg, op+" on a read-only "+v.Name()+" snapshot view") {
+						t.Errorf("%s: %s: want a panic naming the view, got %q", name, op, msg)
+					}
+				}()
+				fn()
+			}()
+		}
+		if v.Epoch() != epoch || v.TotalDistinct() != total {
+			t.Fatalf("%s changed: epoch %d -> %d, total %v -> %v", name, epoch, v.Epoch(), total, v.TotalDistinct())
+		}
+	}
+}
+
 // TestWindowedRotateObserveRace is the -race regression test for the
 // tentpole's guard: before the refactor nothing stopped a timer goroutine
 // from calling Rotate mid-ObserveBatch. Batches, single observes, rotations,
