@@ -137,10 +137,9 @@ func (v *ShardedView) prepareFolds() {
 // FoldStats counts window fold-cache outcomes across an estimator stack:
 // Computes is the number of cross-generation folds actually executed, Hits
 // the number of analytics reads served from a cached fold. Inject one with
-// WithFoldStats to scope the counts to a stack (the server does, and
-// exports them on /metrics); windows built without the option report into
-// a package-level default readable via DefaultFoldStats. All methods are
-// safe for concurrent use.
+// WithFoldStats to count a stack's folds (the server does, and exports
+// them on /metrics); windows built without the option count nothing. All
+// methods are safe for concurrent use.
 type FoldStats struct {
 	computes atomic.Uint64
 	hits     atomic.Uint64
@@ -151,13 +150,6 @@ func (s *FoldStats) Computes() uint64 { return s.computes.Load() }
 
 // Hits returns how many analytics reads were served from a cached fold.
 func (s *FoldStats) Hits() uint64 { return s.hits.Load() }
-
-// defaultFoldStats absorbs counts from stacks built without WithFoldStats.
-var defaultFoldStats FoldStats
-
-// DefaultFoldStats returns the package-level collector used by windows
-// built without WithFoldStats.
-func DefaultFoldStats() *FoldStats { return &defaultFoldStats }
 
 // Interface conformance: both the live stack and its views answer TopK
 // natively.

@@ -157,15 +157,6 @@ func TestFoldCacheZeroRefoldsOnUnchangedView(t *testing.T) {
 	}
 }
 
-func TestFoldCacheDefaultCollector(t *testing.T) {
-	base := DefaultFoldStats().Computes()
-	s := analyticsStack(2, 2, burstyEdges(500, 31), 1)
-	_ = s.Snapshot().TopK(3)
-	if DefaultFoldStats().Computes() == base {
-		t.Fatal("stack without WithFoldStats did not report into the default collector")
-	}
-}
-
 // TestAnalyticsRaceStorm drives concurrent analytics queries against live
 // ingest and rotation — run under -race in CI.
 func TestAnalyticsRaceStorm(t *testing.T) {

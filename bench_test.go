@@ -502,7 +502,7 @@ func BenchmarkWindowedObserve(b *testing.B) {
 }
 
 // BenchmarkWindowedRotate measures one epoch boundary on a loaded window:
-// allocate a fresh generation, age the ring, retire the oldest.
+// allocate a fresh generation, age the live ones, retire the oldest.
 func BenchmarkWindowedRotate(b *testing.B) {
 	edges := benchBurstEdges(1<<15, 5)
 	w := NewWindowed(func() Estimator { return NewFreeRS(1 << 20) }, WithGenerations(4))

@@ -146,11 +146,9 @@ func sketchStats(t *testing.T, e Estimator) []float64 {
 		return []float64{g.inner.TotalDistinct(), g.inner.TotalDistinctHLL(), g.inner.ChangeProbability()}
 	case *Windowed:
 		var out []float64
-		g.ring.View(func(live []Estimator) {
-			for _, gen := range live {
-				out = append(out, sketchStats(t, gen)...)
-			}
-		})
+		for _, gen := range g.gens {
+			out = append(out, sketchStats(t, gen)...)
+		}
 		return out
 	}
 	t.Fatalf("no statistics for %s", e.Name())

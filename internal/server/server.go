@@ -436,8 +436,8 @@ func New(cfg Config) (*Server, error) {
 		// merge map per shard every few seconds. Entries upper-bound users
 		// (one per generation a user is active in). UserEntries is the one
 		// deliberately non-snapshot read: O(k) counter loads under a brief
-		// ring-lock hold, so a scrape neither blocks on a long read nor
-		// forces the writer into a fresh copy-on-write detach.
+		// hold of the window's lock, so a scrape neither blocks on a long
+		// read nor forces the writer into a fresh copy-on-write detach.
 		s.reg.Gauge("cardserved_shard_user_entries", fmt.Sprintf(`shard="%d"`, i),
 			"Per-user estimate entries across the shard's live generations (upper bound on distinct users).",
 			func() float64 { return float64(s.wins[i].UserEntries()) })

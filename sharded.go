@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/hashing"
 	"repro/internal/stream"
-	"repro/internal/window"
 )
 
 // Sharded makes the paper's estimators safe for concurrent use and scalable
@@ -72,10 +71,10 @@ type shard struct {
 // a fresh estimator for shard i (use distinct seeds per shard for hash
 // independence, or one shared seed to enable TotalDistinctMerged). Every
 // shard must be a FreeBS, a FreeRS, or a Windowed built without
-// WithRotateEveryEdges or WithRotateEvery, and all n must share one
-// concrete type. The Sharded owns the shards from then on: feed and rotate
-// them only through it. It panics if n <= 0, if build is nil or returns
-// nil, or if a shard breaks these rules.
+// WithRotateEveryEdges, and all n must share one concrete type. The
+// Sharded owns the shards from then on: feed and rotate them only through
+// it. It panics if n <= 0, if build is nil or returns nil, or if a shard
+// breaks these rules.
 func NewSharded(n int, build func(shard int) Estimator) *Sharded {
 	if n <= 0 {
 		panic("streamcard: NewSharded requires n > 0")
@@ -108,7 +107,7 @@ func checkShard(est Estimator) {
 		panic("streamcard: build returned nil estimator")
 	case *FreeBS, *FreeRS:
 	case *Windowed:
-		if _, manual := e.cfg.boundary.(window.Manual); !manual {
+		if e.cfg.everyEdges != 0 {
 			panic(fmt.Sprintf("streamcard: NewSharded needs %s shards without a rotation boundary of their own: Sharded.Rotate advances them", e.Name()))
 		}
 	default:

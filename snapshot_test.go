@@ -13,7 +13,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/hashing"
 )
@@ -264,23 +263,17 @@ func TestShardedSnapshotDistinctSeeds(t *testing.T) {
 // TestShardedSnapshotDriftingEpochs: windows rotating themselves on
 // per-shard boundaries would leave the stack with no common epoch to
 // freeze, so NewSharded refuses Windowed shards built with an automatic
-// rotation boundary, by edge count or by wall time: Sharded.Rotate alone
-// advances a Sharded's windows.
+// rotation boundary: Sharded.Rotate alone advances a Sharded's windows.
 func TestShardedSnapshotDriftingEpochs(t *testing.T) {
-	for name, boundary := range map[string]WindowedOption{
-		"edges":     WithRotateEveryEdges(500),
-		"wall-time": WithRotateEvery(time.Minute),
-	} {
-		t.Run(name, func(t *testing.T) {
-			mustPanic(t, func() {
-				NewSharded(3, func(int) Estimator {
-					return NewWindowed(func() Estimator {
-						return NewFreeRS(1<<14, WithSeed(7))
-					}, WithGenerations(2), boundary)
-				})
+	t.Run("edges", func(t *testing.T) {
+		mustPanic(t, func() {
+			NewSharded(3, func(int) Estimator {
+				return NewWindowed(func() Estimator {
+					return NewFreeRS(1<<14, WithSeed(7))
+				}, WithGenerations(2), WithRotateEveryEdges(500))
 			})
 		})
-	}
+	})
 }
 
 // TestUnsnapshottableFallback: estimators without snapshot support have no

@@ -3,6 +3,7 @@ package streamcard
 import (
 	"errors"
 	"math"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -200,25 +201,6 @@ func TestWindowedRotateEveryEdges(t *testing.T) {
 	w.Rotate()
 	if got := w.Estimate(1); got != 0 {
 		t.Fatalf("estimate %v after aging, want 0: the batch was torn across generations", got)
-	}
-}
-
-func TestWindowedRotateInterval(t *testing.T) {
-	now := time.Unix(0, 0)
-	w := NewWindowed(func() Estimator { return NewFreeRS(1 << 16) },
-		WithRotateEvery(time.Minute), WithWindowClock(func() time.Time { return now }))
-	w.Observe(1, 1)
-	if w.Tick() {
-		t.Fatal("rotated before the interval elapsed")
-	}
-	now = now.Add(time.Minute)
-	if !w.Tick() {
-		t.Fatal("timer tick past the interval must rotate")
-	}
-	now = now.Add(time.Minute)
-	w.Observe(1, 2) // observation path also notices the elapsed interval
-	if w.Epoch() != 2 {
-		t.Fatalf("epoch = %d", w.Epoch())
 	}
 }
 
@@ -432,7 +414,7 @@ func TestWindowedPanics(t *testing.T) {
 // mutated view would move its readers' and its fold cache's ring.
 func TestWindowedViewRefusesMutation(t *testing.T) {
 	build := func() Estimator { return NewFreeRS(1<<14, WithSeed(3)) }
-	w := NewWindowed(build, WithGenerations(3), WithRotateEvery(time.Nanosecond))
+	w := NewWindowed(build, WithGenerations(3), WithRotateEveryEdges(1))
 	w.ObserveBatch(randomBatch(hashing.NewRNG(4), 2000))
 	ckpt, err := w.MarshalBinary()
 	if err != nil {
@@ -445,7 +427,6 @@ func TestWindowedViewRefusesMutation(t *testing.T) {
 			"Observe":         func() { v.Observe(1, 2) },
 			"ObserveBatch":    func() { v.ObserveBatch([]Edge{{User: 1, Item: 2}}) },
 			"Rotate":          v.Rotate,
-			"Tick":            func() { v.Tick() },
 			"UnmarshalBinary": func() { v.UnmarshalBinary(ckpt) },
 			"Merge":           func() { v.Merge(other) },
 		} {
@@ -506,7 +487,6 @@ func TestWindowedRotateObserveRace(t *testing.T) {
 		defer close(done)
 		for i := 0; i < 200; i++ {
 			w.Rotate()
-			w.Tick()
 		}
 	}()
 	wg.Wait()
@@ -524,4 +504,347 @@ func mustPanic(t *testing.T, f func()) {
 		}
 	}()
 	f()
+}
+
+// TestWindowedMarshalBinaryWhileObserving: MarshalBinary on a live window
+// is safe against a concurrent writer (run under -race), and every
+// checkpoint it returns restores.
+func TestWindowedMarshalBinaryWhileObserving(t *testing.T) {
+	build := func() Estimator { return NewFreeRS(1<<14, WithSeed(5)) }
+	w := NewWindowed(build, WithGenerations(3))
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		rng := hashing.NewRNG(1)
+		for i := 0; i < 200; i++ {
+			w.ObserveBatch(randomBatch(rng, 64))
+		}
+	}()
+	for i := 0; i < 200; i++ {
+		data, err := w.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := NewWindowed(build, WithGenerations(3)).UnmarshalBinary(data); err != nil {
+			t.Fatalf("checkpoint %d does not restore: %v", i, err)
+		}
+	}
+	<-done
+}
+
+// TestWindowedCloneWhileObserving: Clone on a live window is safe against
+// a concurrent writer (run under -race), and each clone is a consistent
+// prefix: with no rotation, the array-derived total never falls.
+func TestWindowedCloneWhileObserving(t *testing.T) {
+	w := NewWindowed(func() Estimator { return NewFreeRS(1<<14, WithSeed(5)) }, WithGenerations(3))
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		rng := hashing.NewRNG(2)
+		for i := 0; i < 200; i++ {
+			w.ObserveBatch(randomBatch(rng, 64))
+		}
+	}()
+	last := 0.0
+	for i := 0; i < 200; i++ {
+		total := w.Clone().TotalDistinct()
+		if total < last {
+			t.Fatalf("clone %d total %v fell below an earlier clone's %v", i, total, last)
+		}
+		last = total
+	}
+	<-done
+}
+
+// TestWindowedMutatorsInvalidateView: every mutator clears the cached view,
+// so the Snapshot after it is a new view that reads like a fresh Clone,
+// while repeated Snapshots with no write between them share one view.
+func TestWindowedMutatorsInvalidateView(t *testing.T) {
+	build := func() Estimator { return NewFreeRS(1<<14, WithSeed(8)) }
+	src := NewWindowed(build, WithGenerations(3))
+	src.ObserveBatch(randomBatch(hashing.NewRNG(3), 500))
+	src.Rotate()
+	src.ObserveBatch(randomBatch(hashing.NewRNG(4), 500))
+	ckpt, err := src.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	peer := NewWindowed(build, WithGenerations(3))
+	peer.ObserveBatch(randomBatch(hashing.NewRNG(5), 500))
+
+	for op, mutate := range map[string]func(w *Windowed) error{
+		"Observe":           func(w *Windowed) error { w.Observe(1, 99); return nil },
+		"ObserveBatch":      func(w *Windowed) error { w.ObserveBatch(randomBatch(hashing.NewRNG(6), 100)); return nil },
+		"Rotate":            func(w *Windowed) error { w.Rotate(); return nil },
+		"boundary rotation": func(w *Windowed) error { w.ObserveBatch(randomBatch(hashing.NewRNG(7), 500)); return nil },
+		"Merge":             func(w *Windowed) error { return w.Merge(peer) },
+		"UnmarshalBinary":   func(w *Windowed) error { return w.UnmarshalBinary(ckpt) },
+	} {
+		t.Run(op, func(t *testing.T) {
+			w := NewWindowed(build, WithGenerations(3), WithRotateEveryEdges(1000))
+			w.ObserveBatch(randomBatch(hashing.NewRNG(2), 600))
+			before := w.Snapshot()
+			if w.Snapshot() != before {
+				t.Fatal("two Snapshots with no write between them returned different views")
+			}
+			epoch := w.Epoch()
+			if err := mutate(w); err != nil {
+				t.Fatal(err)
+			}
+			if op == "boundary rotation" && w.Epoch() != epoch+1 {
+				t.Fatalf("epoch %d after crossing the boundary, want %d", w.Epoch(), epoch+1)
+			}
+			after := w.Snapshot()
+			if after == before {
+				t.Fatalf("Snapshot after %s returned the cached view", op)
+			}
+			clone := w.Clone()
+			if after.Epoch() != clone.Epoch() || after.TotalDistinct() != clone.TotalDistinct() ||
+				after.NumUsers() != clone.NumUsers() {
+				t.Fatalf("view after %s reads epoch %d total %v users %d, a clone epoch %d total %v users %d",
+					op, after.Epoch(), after.TotalDistinct(), after.NumUsers(),
+					clone.Epoch(), clone.TotalDistinct(), clone.NumUsers())
+			}
+			for _, ue := range usersOf(clone) {
+				if got := after.Estimate(ue.user); got != ue.est {
+					t.Fatalf("view after %s estimates user %d at %v, a clone at %v", op, ue.user, got, ue.est)
+				}
+			}
+		})
+	}
+}
+
+// ringWindow is the k-generation FreeRS window the ring tests run on.
+func ringWindow(k int, opts ...WindowedOption) *Windowed {
+	return NewWindowed(func() Estimator { return NewFreeRS(1<<20, WithSeed(9)) },
+		append([]WindowedOption{WithGenerations(k)}, opts...)...)
+}
+
+// feedUsers feeds one batch of n edges from users first, first+1, ...: a
+// user per edge, so a generation's NumUsers counts the edges it absorbed.
+func feedUsers(w *Windowed, first uint64, n int) {
+	batch := make([]Edge, n)
+	for i := range batch {
+		batch[i] = Edge{User: first + uint64(i), Item: 1}
+	}
+	w.ObserveBatch(batch)
+}
+
+// liveUsers returns each live generation's user count, newest first.
+func liveUsers(w *Windowed) []int {
+	var out []int
+	for _, g := range w.Snapshot().gens {
+		out = append(out, g.(AnytimeEstimator).NumUsers())
+	}
+	return out
+}
+
+func TestRingGrowsToKThenDrops(t *testing.T) {
+	w := ringWindow(3)
+	if w.Generations() != 3 || w.LiveGenerations() != 1 || w.Epoch() != 0 {
+		t.Fatalf("fresh window k=%d live=%d epoch=%d", w.Generations(), w.LiveGenerations(), w.Epoch())
+	}
+	feedUsers(w, 0, 10)
+	w.Rotate()
+	feedUsers(w, 100, 20)
+	w.Rotate()
+	feedUsers(w, 200, 30)
+	if got := liveUsers(w); !slices.Equal(got, []int{30, 20, 10}) {
+		t.Fatalf("live = %v, want [30 20 10]", got)
+	}
+	w.Rotate() // the 10-edge generation ages out
+	if got := liveUsers(w); !slices.Equal(got, []int{0, 30, 20}) {
+		t.Fatalf("live after overflow = %v, want [0 30 20]", got)
+	}
+	if w.Epoch() != 3 {
+		t.Fatalf("epoch = %d", w.Epoch())
+	}
+}
+
+func TestRingByEdgesBoundary(t *testing.T) {
+	w := ringWindow(2, WithRotateEveryEdges(10))
+	feedUsers(w, 0, 9)
+	if w.Epoch() != 0 {
+		t.Fatal("rotated early")
+	}
+	feedUsers(w, 100, 1)
+	if w.Epoch() != 1 || w.Snapshot().edges != 0 {
+		t.Fatalf("epoch=%d edges=%d after hitting the boundary", w.Epoch(), w.Snapshot().edges)
+	}
+	// A batch far past the boundary still rotates at most once, and all its
+	// edges belong to the generation current at call start.
+	feedUsers(w, 200, 35)
+	if w.Epoch() != 2 {
+		t.Fatalf("epoch = %d, want 2 (one rotation per feed)", w.Epoch())
+	}
+	if got := liveUsers(w); !slices.Equal(got, []int{0, 35}) {
+		t.Fatalf("live = %v, want the whole batch in one generation", got)
+	}
+}
+
+func TestRingManualNeverRotates(t *testing.T) {
+	w := ringWindow(2)
+	feedUsers(w, 0, 100_000)
+	if w.Epoch() != 0 || w.LiveGenerations() != 1 {
+		t.Fatal("a window without WithRotateEveryEdges rotated on its own")
+	}
+}
+
+func TestRingSnapshotAndAdopt(t *testing.T) {
+	w := ringWindow(3)
+	feedUsers(w, 0, 7)
+	w.Rotate()
+	feedUsers(w, 100, 8)
+	// The state copy freezes the generations and the epoch bookkeeping:
+	// rotating afterwards must not alter it.
+	cut := w.fullSnapshot()
+	w.Rotate()
+	if got := liveUsers(cut); cut.Epoch() != 1 || cut.edges != 8 || !slices.Equal(got, []int{8, 7}) {
+		t.Fatalf("cut live=%v epoch=%d edges=%d, want [8 7] 1 8", got, cut.Epoch(), cut.edges)
+	}
+
+	data, err := cut.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh := ringWindow(3)
+	if err := fresh.UnmarshalBinary(data); err != nil {
+		t.Fatal(err)
+	}
+	if got := liveUsers(fresh); fresh.Epoch() != 1 || fresh.Snapshot().edges != 8 || !slices.Equal(got, []int{8, 7}) {
+		t.Fatalf("restored live=%v epoch=%d edges=%d, want [8 7] 1 8", got, fresh.Epoch(), fresh.Snapshot().edges)
+	}
+
+	// A k mismatch is refused without touching the window.
+	other := ringWindow(2)
+	feedUsers(other, 0, 5)
+	if err := other.UnmarshalBinary(data); !errors.Is(err, ErrIncompatible) {
+		t.Fatalf("k mismatch: %v", err)
+	}
+	if got := liveUsers(other); other.Epoch() != 0 || !slices.Equal(got, []int{5}) {
+		t.Fatalf("refused restore left live=%v epoch=%d, want [5] 0", got, other.Epoch())
+	}
+}
+
+// TestSealedRingReadsWithoutLock: a view, estimates-only or full cut,
+// answers every read while the live window's lock and its own are held, so
+// its readers never wait on the writer or on each other, and it refuses
+// every mutation.
+func TestSealedRingReadsWithoutLock(t *testing.T) {
+	w := ringWindow(3)
+	feedUsers(w, 0, 7)
+	w.Rotate()
+	feedUsers(w, 100, 8)
+	ckpt, err := w.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, v := range map[string]*Windowed{"view": w.Snapshot(), "full cut": w.fullSnapshot()} {
+		w.mu.Lock()
+		v.mu.Lock()
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			v.Snapshot()
+			v.Estimate(100)
+			v.TotalDistinct()
+			v.Users(func(uint64, float64) {})
+			v.RangeUsers(func(uint64, float64) {})
+			v.NumUsers()
+			v.UserEntries()
+			v.MemoryBits()
+			v.Epoch()
+			v.LiveGenerations()
+			TopK(v, 3)
+			if name == "full cut" {
+				v.Clone()
+				v.MarshalBinary()
+			}
+		}()
+		select {
+		case <-done:
+			v.mu.Unlock()
+			w.mu.Unlock()
+		case <-time.After(time.Second):
+			v.mu.Unlock()
+			w.mu.Unlock()
+			t.Fatalf("%s: a read waited on a window lock", name)
+		}
+
+		mustPanic(t, func() { feedUsers(v, 0, 1) })
+		mustPanic(t, v.Rotate)
+		mustPanic(t, func() { v.UnmarshalBinary(ckpt) })
+		mustPanic(t, func() { v.Merge(ringWindow(3)) })
+		if got := liveUsers(v); v.Epoch() != 1 || v.edges != 8 || !slices.Equal(got, []int{8, 7}) {
+			t.Fatalf("%s reads live %v epoch %d edges %d, want [8 7] 1 8", name, got, v.Epoch(), v.edges)
+		}
+	}
+}
+
+func TestRingPanics(t *testing.T) {
+	mustPanic(t, func() { ringWindow(1) })
+	mustPanic(t, func() { NewWindowed(nil, WithGenerations(2)) })
+	calls := 0
+	w := NewWindowed(func() Estimator {
+		calls++
+		if calls > 1 {
+			return nil
+		}
+		return NewFreeRS(1 << 10)
+	})
+	mustPanic(t, w.Rotate)
+	// The failed rotation left the window as it was, and unlocked.
+	w.Observe(1, 2)
+	if w.Epoch() != 0 || w.LiveGenerations() != 1 || w.Estimate(1) == 0 {
+		t.Fatalf("after a failed rotation: epoch %d live %d estimate %v", w.Epoch(), w.LiveGenerations(), w.Estimate(1))
+	}
+}
+
+// TestRingFeedRotateRace is the -race guard for the window lock: batches,
+// rotations (explicit and at an edge boundary) and view reads interleave
+// from many goroutines. Each batch is one fresh user's, so a batch torn
+// across generations would leave its user live in two of them.
+func TestRingFeedRotateRace(t *testing.T) {
+	w := ringWindow(4, WithRotateEveryEdges(500))
+	const workers, perWorker, batch = 8, 300, 7
+	var wg sync.WaitGroup
+	for id := 0; id < workers; id++ {
+		wg.Add(1)
+		go func(id int) {
+			defer wg.Done()
+			edges := make([]Edge, batch)
+			for i := 0; i < perWorker; i++ {
+				u := uint64(id)<<32 | uint64(i)
+				for j := range edges {
+					edges[j] = Edge{User: u, Item: uint64(j)}
+				}
+				w.ObserveBatch(edges)
+				if i%97 == 0 {
+					_ = w.NumUsers()
+					_ = w.Estimate(u)
+				}
+			}
+		}(id)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 50; i++ {
+			w.Rotate()
+		}
+	}()
+	wg.Wait()
+	<-done
+	if w.Epoch() < 50 {
+		t.Fatalf("epoch = %d, want >= 50 explicit rotations", w.Epoch())
+	}
+	seen := map[uint64]int{}
+	for gi, g := range w.Snapshot().gens {
+		g.(AnytimeEstimator).Users(func(u uint64, _ float64) {
+			if prev, ok := seen[u]; ok {
+				t.Fatalf("user %d live in generations %d and %d: a batch was torn", u, prev, gi)
+			}
+			seen[u] = gi
+		})
+	}
 }
