@@ -64,9 +64,8 @@ func forEachShard(n int, work func(i int)) {
 	wg.Wait()
 }
 
-// TopK implements TopKer with a shard-concurrent selection: one bounded
-// min-heap per shard on the worker pool, then a merge of the per-shard
-// winners.
+// TopK is the shard-concurrent selection: one bounded min-heap per shard
+// on the worker pool, then a merge of the per-shard winners.
 //
 // Exactness: each user's entire estimate lives in exactly one shard, so
 // every member of the global top k is inside its own shard's top k — the
@@ -150,10 +149,3 @@ func (s *FoldStats) Computes() uint64 { return s.computes.Load() }
 
 // Hits returns how many analytics reads were served from a cached fold.
 func (s *FoldStats) Hits() uint64 { return s.hits.Load() }
-
-// Interface conformance: both the live stack and its views answer TopK
-// natively.
-var (
-	_ TopKer = (*Sharded)(nil)
-	_ TopKer = (*ShardedView)(nil)
-)

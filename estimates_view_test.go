@@ -11,6 +11,7 @@ import (
 	"errors"
 	"math"
 	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"repro/internal/hashing"
@@ -111,6 +112,12 @@ func TestArmedAbsorbCopiesNoArray(t *testing.T) {
 // so a Snapshot taken right after a write is one atomic load and allocates
 // nothing, at two sketch sizes 4x apart. A read that rebuilt or copied the
 // view would allocate, and one that copied arrays would grow with M.
+//
+// allocBytes reads the process-wide TotalAlloc, so anything else that
+// allocates during a measured call counts against it: a GC cycle's own
+// work, or a goroutine an earlier test left winding down. The measured
+// loop therefore starts from a fresh collection and runs with the
+// collector off and one P, both restored when the loop ends.
 func TestSnapshotAfterWriteAllocatesNothing(t *testing.T) {
 	const shards = 4
 	for _, bits := range []int{1 << 22, 1 << 24} {
@@ -120,17 +127,22 @@ func TestSnapshotAfterWriteAllocatesNothing(t *testing.T) {
 		rng := hashing.NewRNG(3)
 		s.ObserveBatch(randomBatch(rng, 200_000))
 		s.Snapshot() // arms publication
-		var total uint64
-		for i := 0; i < 64; i++ {
-			s.Observe(uint64(i%1000+1), rng.Uint64())
-			total += allocBytes(func() { _ = s.Snapshot() })
-		}
-		if total != 0 {
-			t.Fatalf("M=%d: 64 post-write snapshots allocated %d B, want 0", bits, total)
-		}
-		if n := testing.AllocsPerRun(64, func() { _ = s.Snapshot() }); n != 0 {
-			t.Fatalf("M=%d: Snapshot made %v allocations per call, want 0", bits, n)
-		}
+		func() {
+			runtime.GC()
+			defer debug.SetGCPercent(debug.SetGCPercent(-1))
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+			var total uint64
+			for i := 0; i < 64; i++ {
+				s.Observe(uint64(i%1000+1), rng.Uint64())
+				total += allocBytes(func() { _ = s.Snapshot() })
+			}
+			if total != 0 {
+				t.Fatalf("M=%d: 64 post-write snapshots allocated %d B, want 0", bits, total)
+			}
+			if n := testing.AllocsPerRun(64, func() { _ = s.Snapshot() }); n != 0 {
+				t.Fatalf("M=%d: Snapshot made %v allocations per call, want 0", bits, n)
+			}
+		}()
 	}
 }
 
@@ -193,12 +205,12 @@ func TestEstimatesOnlyViewsExactAndLoud(t *testing.T) {
 		{"FreeBS", func() (Estimator, Estimator, func(Estimator) error) {
 			f := NewFreeBS(bits, WithSeed(5))
 			f.ObserveBatch(randomBatch(hashing.NewRNG(21), 12000))
-			return f.Snapshot(), f.SnapshotView(), func(src Estimator) error { return f.Clone().Merge(src.(*FreeBS)) }
+			return f.Snapshot(), f.view(), func(src Estimator) error { return f.Clone().Merge(src.(*FreeBS)) }
 		}},
 		{"FreeRS", func() (Estimator, Estimator, func(Estimator) error) {
 			f := NewFreeRS(bits, WithSeed(5))
 			f.ObserveBatch(randomBatch(hashing.NewRNG(21), 12000))
-			return f.Snapshot(), f.SnapshotView(), func(src Estimator) error { return f.Clone().Merge(src.(*FreeRS)) }
+			return f.Snapshot(), f.view(), func(src Estimator) error { return f.Clone().Merge(src.(*FreeRS)) }
 		}},
 		{"Windowed(FreeBS)", func() (Estimator, Estimator, func(Estimator) error) {
 			w := windowed(func() Estimator { return NewFreeBS(bits, WithSeed(5)) })

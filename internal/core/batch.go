@@ -18,9 +18,9 @@ type Edge = stream.Edge
 //   - the user half of the pair hash is computed once per run, not per edge
 //     (hashing.HashPairPrefix);
 //   - the user's running estimate cell is located in the table once per run
-//     (usertab.Ref), accumulated in a register, and written back through the
-//     same pointer — no second probe. Only a run that credits a previously
-//     unseen user pays an insertion.
+//     (openRun), accumulated in a register, and written back through the
+//     same pointer (closeRun) — no second probe. Only a run that credits a
+//     previously unseen user pays an insertion.
 //
 // The within-batch edge order is preserved, which matters: each flip's credit
 // M/m0 depends on the zero count at that moment.
@@ -32,14 +32,7 @@ func (f *FreeBS) ObserveBatch(edges []Edge) {
 	size := f.bits.Size()
 	stream.ForEachRun(edges, func(user uint64, run []Edge) {
 		prefix := hashing.HashPairPrefix(user)
-		// No table mutations happen between Ref and the write-back below
-		// (other users' cells are untouched during this run), so the cell
-		// pointer cannot be invalidated by growth.
-		ref := f.est.Ref(user)
-		e := 0.0
-		if ref != nil {
-			e = *ref
-		}
+		ref, e := f.openRun(user)
 		credited := false
 		for _, ed := range run {
 			idx := hashing.UniformIndex(hashing.HashPairFinish(prefix, ed.Item, f.seed), size)
@@ -47,25 +40,12 @@ func (f *FreeBS) ObserveBatch(edges []Edge) {
 			if !f.bits.Set(idx) {
 				continue
 			}
-			q := m0
-			if f.postUpdateQ {
-				q = m0 - 1
-				if q <= 0 {
-					q = 1
-				}
-			}
-			inc := float64(size) / float64(q)
+			inc := flipCredit(size, m0, f.postUpdateQ)
 			e += inc
 			f.total += inc
 			credited = true
 		}
-		if credited {
-			if ref != nil {
-				*ref = e
-			} else {
-				f.est.Add(user, e)
-			}
-		}
+		f.closeRun(user, ref, e, credited)
 	})
 }
 
@@ -82,11 +62,7 @@ func (f *FreeRS) ObserveBatch(edges []Edge) {
 	maxVal := f.regs.MaxValue()
 	stream.ForEachRun(edges, func(user uint64, run []Edge) {
 		prefix := hashing.HashPairPrefix(user)
-		ref := f.est.Ref(user) // see FreeBS.ObserveBatch for pointer validity
-		e := 0.0
-		if ref != nil {
-			e = *ref
-		}
+		ref, e := f.openRun(user)
 		credited := false
 		for _, ed := range run {
 			idx := hashing.UniformIndex(hashing.HashPairFinish(prefix, ed.Item, f.seedIdx), size)
@@ -103,12 +79,6 @@ func (f *FreeRS) ObserveBatch(edges []Edge) {
 			f.total += inc
 			credited = true
 		}
-		if credited {
-			if ref != nil {
-				*ref = e
-			} else {
-				f.est.Add(user, e)
-			}
-		}
+		f.closeRun(user, ref, e, credited)
 	})
 }

@@ -20,6 +20,19 @@
 // no per-query work — the anytime property the paper contrasts with the
 // O(m)-per-query CSE and vHLL.
 //
+// # One sketch, two arrays
+//
+// The two methods are one update rule over two shared structures, and the
+// code shares it the same way. Both types embed sketch, which holds the
+// per-user estimate table, the running total, the edge count and the
+// update-order option, and implements once everything that touches them:
+// the estimate accessors, the credit a counted pair earns, the batch
+// kernels' per-run cell lookup and write-back, merge reconciliation, Reset,
+// and the tail of the checkpoint envelope both formats share. Each type
+// adds only its array, its seeds, its change test and its q. The two
+// ObserveBatch kernels stay concrete, so no interface call is made per
+// edge; the shared helpers inline into both.
+//
 // # Update-order ablation
 //
 // The paper's Algorithm 2 pseudocode updates q_R before crediting 1/q_R,

@@ -11,12 +11,9 @@ import (
 // FreeBS is the parameter-free bit-sharing estimator of §IV-A.
 // The zero value is not usable; call NewFreeBS.
 type FreeBS struct {
-	bits        *bitarray.BitArray
-	seed        uint64
-	est         *usertab.Table
-	total       float64
-	edges       uint64 // edges processed (including duplicates)
-	postUpdateQ bool
+	sketch
+	bits *bitarray.BitArray
+	seed uint64
 }
 
 // FreeBSOption configures a FreeBS.
@@ -34,9 +31,9 @@ func WithPostUpdateQ() FreeBSOption { return func(f *FreeBS) { f.postUpdateQ = t
 // budget — there is no per-user m to tune. It panics if mBits <= 0.
 func NewFreeBS(mBits int, seed uint64, opts ...FreeBSOption) *FreeBS {
 	f := &FreeBS{
-		bits: bitarray.New(mBits),
-		seed: hashing.Mix64(seed ^ 0x6a09e667f3bcc908),
-		est:  usertab.New(),
+		sketch: sketch{est: usertab.New()},
+		bits:   bitarray.New(mBits),
+		seed:   hashing.Mix64(seed ^ 0x6a09e667f3bcc908),
 	}
 	for _, o := range opts {
 		o(f)
@@ -65,27 +62,25 @@ func (f *FreeBS) Observe(user, item uint64) bool {
 	if !f.bits.Set(idx) {
 		return false
 	}
+	f.credit(user, flipCredit(f.bits.Size(), m0, f.postUpdateQ))
+	return true
+}
+
+// flipCredit returns the credit 1/q_B = M/m0 of a flip against m0 zero
+// bits. Under WithPostUpdateQ it divides by the post-flip count m0-1
+// instead, clamped to at least 1 so the flip of the last zero bit stays
+// finite. Observe, ObserveBatch and merge reconciliation (harmonicCredit)
+// all credit through it, so the three can never disagree.
+func flipCredit(m, m0 int, postUpdate bool) float64 {
 	q := m0
-	if f.postUpdateQ {
+	if postUpdate {
 		q = m0 - 1
 		if q <= 0 {
 			q = 1
 		}
 	}
-	inc := float64(f.bits.Size()) / float64(q)
-	f.est.Add(user, inc)
-	f.total += inc
-	return true
+	return float64(m) / float64(q)
 }
-
-// Estimate returns the anytime cardinality estimate n̂_s for user (0 if the
-// user has produced no bit flips). O(1).
-func (f *FreeBS) Estimate(user uint64) float64 { return f.est.Get(user) }
-
-// TotalDistinct returns Σ_s n̂_s, the Horvitz–Thompson estimate of the total
-// number of distinct pairs n^(t). It equals the sum of per-user estimates by
-// construction.
-func (f *FreeBS) TotalDistinct() float64 { return f.total }
 
 // TotalDistinctLPC returns the independent linear-counting estimate
 // -M·ln(m0/M) of n^(t) from the global array state. It has far lower
@@ -111,40 +106,8 @@ func (f *FreeBS) MaxEstimate() float64 {
 // counted).
 func (f *FreeBS) Saturated() bool { return f.bits.ZeroCount() == 0 }
 
-// EdgesProcessed returns the number of Observe calls (duplicates included).
-func (f *FreeBS) EdgesProcessed() uint64 { return f.edges }
-
-// NumUsers returns the number of users with a nonzero estimate. O(1).
-func (f *FreeBS) NumUsers() int { return f.est.Len() }
-
-// Users calls fn for every user with a nonzero estimate, in ascending user
-// order — deterministic for equal logical states no matter how they were
-// reached (ingested, merged, cloned, or restored). Sorting costs
-// O(users log users) and one key-slice allocation; order-insensitive
-// consumers use RangeUsers.
-func (f *FreeBS) Users(fn func(user uint64, estimate float64)) {
-	f.est.SortedRange(fn)
-}
-
-// RangeUsers calls fn for every user with a nonzero estimate in the
-// estimate table's layout order: allocation-free and O(users), but the
-// order, while deterministic for a given history, is not sorted and not
-// preserved across checkpoint/restore. The fan-in paths (top-k, windowed
-// sums, shard aggregation) use this.
-func (f *FreeBS) RangeUsers(fn func(user uint64, estimate float64)) {
-	f.est.Range(fn)
-}
-
-// PerUserBytes returns the exact memory held by the per-user estimate
-// table, in bytes — the bookkeeping the paper's accounting grants every
-// method (§V-B) but which this implementation also engineers flat; see
-// internal/usertab.
-func (f *FreeBS) PerUserBytes() int64 { return f.est.MemoryBytes() }
-
 // Reset clears the sketch and all estimates.
 func (f *FreeBS) Reset() {
 	f.bits.Reset()
-	f.est.Reset()
-	f.total = 0
-	f.edges = 0
+	f.reset()
 }

@@ -16,14 +16,11 @@ const DefaultRegisterWidth = 5
 // FreeRS is the parameter-free register-sharing estimator of §IV-B.
 // The zero value is not usable; call NewFreeRS.
 type FreeRS struct {
-	regs        *regarray.Array
-	seedIdx     uint64
-	seedRank    uint64
-	est         *usertab.Table
-	total       float64
-	edges       uint64
-	postUpdateQ bool
-	width       uint8
+	sketch
+	regs     *regarray.Array
+	seedIdx  uint64
+	seedRank uint64
+	width    uint8
 }
 
 // FreeRSOption configures a FreeRS.
@@ -47,9 +44,9 @@ func WithRegisterWidth(w uint8) FreeRSOption { return func(f *FreeRS) { f.width 
 // mRegs <= 0 or the width is unsupported.
 func NewFreeRS(mRegs int, seed uint64, opts ...FreeRSOption) *FreeRS {
 	f := &FreeRS{
+		sketch:   sketch{est: usertab.New()},
 		seedIdx:  hashing.Mix64(seed ^ 0xbb67ae8584caa73b),
 		seedRank: hashing.Mix64(seed ^ 0x3c6ef372fe94f82b),
-		est:      usertab.New(),
 		width:    DefaultRegisterWidth,
 	}
 	for _, o := range opts {
@@ -88,19 +85,9 @@ func (f *FreeRS) Observe(user, item uint64) bool {
 	if f.postUpdateQ {
 		q = f.regs.ChangeProbability() // Algorithm-2-literal ordering
 	}
-	inc := 1 / q
-	f.est.Add(user, inc)
-	f.total += inc
+	f.credit(user, 1/q)
 	return true
 }
-
-// Estimate returns the anytime cardinality estimate n̂_s for user (0 if the
-// user has produced no register changes). O(1).
-func (f *FreeRS) Estimate(user uint64) float64 { return f.est.Get(user) }
-
-// TotalDistinct returns Σ_s n̂_s, the Horvitz–Thompson estimate of the total
-// number of distinct pairs n^(t).
-func (f *FreeRS) TotalDistinct() float64 { return f.total }
 
 // TotalDistinctHLL returns the independent HLL estimate of n^(t) from the
 // global register state (with small-range correction). Lower variance than
@@ -123,32 +110,8 @@ func (f *FreeRS) MaxEstimate() float64 {
 	return math.Exp2(math.Exp2(float64(f.width)))
 }
 
-// EdgesProcessed returns the number of Observe calls (duplicates included).
-func (f *FreeRS) EdgesProcessed() uint64 { return f.edges }
-
-// NumUsers returns the number of users with a nonzero estimate. O(1).
-func (f *FreeRS) NumUsers() int { return f.est.Len() }
-
-// Users calls fn for every user with a nonzero estimate, in ascending user
-// order; see FreeBS.Users for the determinism/cost contract.
-func (f *FreeRS) Users(fn func(user uint64, estimate float64)) {
-	f.est.SortedRange(fn)
-}
-
-// RangeUsers calls fn for every user with a nonzero estimate in layout
-// order, allocation-free; see FreeBS.RangeUsers.
-func (f *FreeRS) RangeUsers(fn func(user uint64, estimate float64)) {
-	f.est.Range(fn)
-}
-
-// PerUserBytes returns the exact memory held by the per-user estimate
-// table, in bytes; see FreeBS.PerUserBytes.
-func (f *FreeRS) PerUserBytes() int64 { return f.est.MemoryBytes() }
-
 // Reset clears the sketch and all estimates.
 func (f *FreeRS) Reset() {
 	f.regs.Reset()
-	f.est.Reset()
-	f.total = 0
-	f.edges = 0
+	f.reset()
 }

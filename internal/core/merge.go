@@ -3,8 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-
-	"repro/internal/usertab"
 )
 
 // Merging lets independently fed sketches — per-shard, per-node, per-epoch —
@@ -46,16 +44,7 @@ var ErrIncompatible = errors.New("sketches not mergeable")
 // Clone returns a deep copy of f: mutating either sketch never affects the
 // other. Non-destructive aggregation clones one shard and merges the rest in.
 // The estimate table is copied cell for cell, layout included.
-func (f *FreeBS) Clone() *FreeBS {
-	return &FreeBS{
-		bits:        f.bits.Clone(),
-		seed:        f.seed,
-		est:         f.est.Clone(),
-		total:       f.total,
-		edges:       f.edges,
-		postUpdateQ: f.postUpdateQ,
-	}
-}
+func (f *FreeBS) Clone() *FreeBS { return f.fork(f.bits.Clone(), f.est.Clone()) }
 
 // Merge folds other into f so that f summarizes the union of both input
 // streams. The shared bit array becomes the bitwise OR of the two arrays —
@@ -94,68 +83,26 @@ func (f *FreeBS) Merge(other *FreeBS) error {
 	if kOther == 0 || other.est.Len() == 0 {
 		return nil
 	}
-	scale := harmonicCredit(f.bits.Size(), kF, kU, f.postUpdateQ) /
-		harmonicCredit(f.bits.Size(), 0, kOther, f.postUpdateQ)
-	if scale > 0 {
-		// A zero scale (full overlap: no new bits) must not touch the map at
-		// all — `f.est[u] += 0` would create zero-valued entries, and the
-		// est map's contract is "users with a nonzero estimate".
-		f.reconcile(other.est, scale)
-	}
+	f.reconcile(other.est, harmonicCredit(f.bits.Size(), kF, kU, f.postUpdateQ)/
+		harmonicCredit(f.bits.Size(), 0, kOther, f.postUpdateQ))
 	return nil
 }
 
 // harmonicCredit returns the total credit the update rule issues for flips
 // number from+1 through to of an M-bit array. Flip number k happens against
-// m0 = M-k+1 remaining zeros, so the default (Theorem-2) rule credits
-// M/(M-k+1); the WithPostUpdateQ ablation divides by the post-flip zero
-// count instead, crediting M/(M-k) with the same ≥1 clamp Observe applies —
-// the reconciliation must mirror whichever rule issued the credits being
-// rescaled, or merged totals drift off the union sketch's.
+// m0 = M-k+1 remaining zeros, so it credits flipCredit(M, M-k+1) — the same
+// rule, WithPostUpdateQ clamp included, that issued the credits being
+// rescaled, or merged totals would drift off the union sketch's.
 func harmonicCredit(m, from, to int, postUpdate bool) float64 {
 	s := 0.0
 	for k := from + 1; k <= to; k++ {
-		q := m - k + 1
-		if postUpdate {
-			q--
-			if q <= 0 {
-				q = 1
-			}
-		}
-		s += float64(m) / float64(q)
+		s += flipCredit(m, m-k+1, postUpdate)
 	}
 	return s
 }
 
-// reconcile folds a scaled copy of other's per-user credits directly into
-// f's estimate table — no intermediate map is rebuilt — keeping the
-// TotalDistinct = Σ estimates invariant exact. Iteration is key-sorted, not
-// layout-order: f.total accumulates in float, so the summation order must
-// be a function of the logical state alone or merging a checkpoint-restored
-// sketch (whose table layout is rebuilt key-sorted) would drift from
-// merging its never-restored twin in the low bits — exactly the divergence
-// the restore-lockstep contract forbids.
-func (f *FreeBS) reconcile(est *usertab.Table, scale float64) {
-	est.SortedRange(func(u uint64, e float64) {
-		d := e * scale
-		f.est.Add(u, d)
-		f.total += d
-	})
-}
-
 // Clone returns a deep copy of f; see FreeBS.Clone.
-func (f *FreeRS) Clone() *FreeRS {
-	return &FreeRS{
-		regs:        f.regs.Clone(),
-		seedIdx:     f.seedIdx,
-		seedRank:    f.seedRank,
-		est:         f.est.Clone(),
-		total:       f.total,
-		edges:       f.edges,
-		postUpdateQ: f.postUpdateQ,
-		width:       f.width,
-	}
-}
+func (f *FreeRS) Clone() *FreeRS { return f.fork(f.regs.Clone(), f.est.Clone()) }
 
 // Merge folds other into f so that f summarizes the union of both input
 // streams. The shared register array becomes the register-wise max of the two
@@ -197,19 +144,6 @@ func (f *FreeRS) Merge(other *FreeRS) error {
 	if other.est.Len() == 0 || tOther <= 0 {
 		return nil
 	}
-	scale := (tU - tF) / tOther
-	if scale <= 0 {
-		// No array-implied gain (full overlap, or estimator noise on a
-		// low-novelty merge): re-issue no credit, and in particular do not
-		// seed zero-valued entries into the estimate table.
-		return nil
-	}
-	// Key-sorted for the same reason as FreeBS.reconcile: the float order of
-	// f.total's accumulation must not depend on the source table's layout.
-	other.est.SortedRange(func(u uint64, e float64) {
-		d := e * scale
-		f.est.Add(u, d)
-		f.total += d
-	})
+	f.reconcile(other.est, (tU-tF)/tOther)
 	return nil
 }

@@ -73,47 +73,27 @@ func (f *FreeBS) MarshalBinary() ([]byte, error) {
 	out = append(out, freeBSMagic...)
 	out = append(out, boolByte(f.postUpdateQ))
 	out = binary.LittleEndian.AppendUint64(out, f.seed)
-	out = binary.LittleEndian.AppendUint64(out, f.edges)
-	out = binary.LittleEndian.AppendUint64(out, math.Float64bits(f.total))
-	out = binary.LittleEndian.AppendUint64(out, uint64(len(arr)))
-	out = append(out, arr...)
-	out = appendEstimates(out, f.est)
-	return out, nil
+	return f.appendTail(out, arr), nil
 }
 
 // UnmarshalBinary restores state serialized by MarshalBinary, current or
-// legacy envelope version (see the package comment on versioning).
+// legacy envelope version (see the package comment on versioning). The
+// receiver is replaced only on success.
 func (f *FreeBS) UnmarshalBinary(data []byte) error {
 	body, err := checkMagicAny(data, freeBSMagic, freeBSMagicLegacy)
 	if err != nil {
 		return err
 	}
-	if len(body) < 1+8+8+8+8 {
+	if len(body) < 1+8 {
 		return errors.New("core: FreeBS payload truncated")
 	}
-	postQ := body[0] != 0
-	seed := binary.LittleEndian.Uint64(body[1:])
-	edges := binary.LittleEndian.Uint64(body[9:])
-	total := math.Float64frombits(binary.LittleEndian.Uint64(body[17:]))
-	arrLen := int(binary.LittleEndian.Uint64(body[25:]))
-	body = body[33:]
-	if arrLen < 0 || arrLen > len(body) {
-		return errors.New("core: FreeBS array length out of bounds")
-	}
 	bits := new(bitarray.BitArray)
-	if err := bits.UnmarshalBinary(body[:arrLen]); err != nil {
-		return fmt.Errorf("core: FreeBS array: %w", err)
-	}
-	est, err := readEstimates(body[arrLen:])
+	sk, err := readTail(body[9:], "FreeBS", bits)
 	if err != nil {
 		return err
 	}
-	f.bits = bits
-	f.seed = seed
-	f.est = est
-	f.total = total
-	f.edges = edges
-	f.postUpdateQ = postQ
+	sk.postUpdateQ = body[0] != 0
+	*f = FreeBS{sketch: sk, bits: bits, seed: binary.LittleEndian.Uint64(body[1:])}
 	return nil
 }
 
@@ -128,38 +108,25 @@ func (f *FreeRS) MarshalBinary() ([]byte, error) {
 	out = append(out, boolByte(f.postUpdateQ), f.width)
 	out = binary.LittleEndian.AppendUint64(out, f.seedIdx)
 	out = binary.LittleEndian.AppendUint64(out, f.seedRank)
-	out = binary.LittleEndian.AppendUint64(out, f.edges)
-	out = binary.LittleEndian.AppendUint64(out, math.Float64bits(f.total))
-	out = binary.LittleEndian.AppendUint64(out, uint64(len(arr)))
-	out = append(out, arr...)
-	out = appendEstimates(out, f.est)
-	return out, nil
+	return f.appendTail(out, arr), nil
 }
 
 // UnmarshalBinary restores state serialized by MarshalBinary, current or
-// legacy envelope version (see the package comment on versioning).
+// legacy envelope version (see the package comment on versioning). The
+// receiver is replaced only on success.
 func (f *FreeRS) UnmarshalBinary(data []byte) error {
 	body, err := checkMagicAny(data, freeRSMagic, freeRSMagicLegacy)
 	if err != nil {
 		return err
 	}
-	if len(body) < 2+8+8+8+8+8 {
+	if len(body) < 2+8+8 {
 		return errors.New("core: FreeRS payload truncated")
 	}
-	postQ := body[0] != 0
 	width := body[1]
-	seedIdx := binary.LittleEndian.Uint64(body[2:])
-	seedRank := binary.LittleEndian.Uint64(body[10:])
-	edges := binary.LittleEndian.Uint64(body[18:])
-	total := math.Float64frombits(binary.LittleEndian.Uint64(body[26:]))
-	arrLen := int(binary.LittleEndian.Uint64(body[34:]))
-	body = body[42:]
-	if arrLen < 0 || arrLen > len(body) {
-		return errors.New("core: FreeRS array length out of bounds")
-	}
 	regs := new(regarray.Array)
-	if err := regs.UnmarshalBinary(body[:arrLen]); err != nil {
-		return fmt.Errorf("core: FreeRS array: %w", err)
+	sk, err := readTail(body[18:], "FreeRS", regs)
+	if err != nil {
+		return err
 	}
 	if regs.Width() != width {
 		return errors.New("core: FreeRS width mismatch")
@@ -167,18 +134,14 @@ func (f *FreeRS) UnmarshalBinary(data []byte) error {
 	if !regs.Exact() {
 		return errors.New("core: FreeRS requires an exactly maintained array")
 	}
-	est, err := readEstimates(body[arrLen:])
-	if err != nil {
-		return err
+	sk.postUpdateQ = body[0] != 0
+	*f = FreeRS{
+		sketch:   sk,
+		regs:     regs,
+		seedIdx:  binary.LittleEndian.Uint64(body[2:]),
+		seedRank: binary.LittleEndian.Uint64(body[10:]),
+		width:    width,
 	}
-	f.regs = regs
-	f.seedIdx = seedIdx
-	f.seedRank = seedRank
-	f.est = est
-	f.total = total
-	f.edges = edges
-	f.postUpdateQ = postQ
-	f.width = width
 	return nil
 }
 

@@ -1,5 +1,11 @@
 package core
 
+import (
+	"repro/internal/bitarray"
+	"repro/internal/regarray"
+	"repro/internal/usertab"
+)
+
 // Snapshots are the read side of the serving architecture: an O(1)
 // logically frozen fork of a sketch, taken under whatever lock guards the
 // writer, then read with no lock held at all. There are two kinds.
@@ -37,57 +43,34 @@ package core
 // concurrency contract: the call itself must be serialized with writers
 // (take it under the lock that guards Observe), after which reads of the
 // snapshot need no synchronization.
-func (f *FreeBS) Snapshot() *FreeBS {
-	return &FreeBS{
-		bits:        f.bits.Snapshot(),
-		seed:        f.seed,
-		est:         f.est.Snapshot(),
-		total:       f.total,
-		edges:       f.edges,
-		postUpdateQ: f.postUpdateQ,
-	}
-}
+func (f *FreeBS) Snapshot() *FreeBS { return f.fork(f.bits.Snapshot(), f.est.Snapshot()) }
 
 // SnapshotEstimates returns an O(1) estimates-only fork of f: the per-user
 // table shared copy-on-write and the bit array's statistics without its
 // words. See the file comment for what it serves and what it refuses. The
 // same serialization rule as Snapshot applies.
-func (f *FreeBS) SnapshotEstimates() *FreeBS {
-	return &FreeBS{
-		bits:        f.bits.Stats(),
-		seed:        f.seed,
-		est:         f.est.Snapshot(),
-		total:       f.total,
-		edges:       f.edges,
-		postUpdateQ: f.postUpdateQ,
-	}
+func (f *FreeBS) SnapshotEstimates() *FreeBS { return f.fork(f.bits.Stats(), f.est.Snapshot()) }
+
+// fork returns a copy of f holding bits and est in place of its own: the
+// one constructor behind Snapshot, SnapshotEstimates and Clone, which
+// differ only in how they copy the two.
+func (f *FreeBS) fork(bits *bitarray.BitArray, est *usertab.Table) *FreeBS {
+	c := *f
+	c.bits, c.est = bits, est
+	return &c
 }
 
 // Snapshot returns an O(1) copy-on-write fork of f; see FreeBS.Snapshot.
-func (f *FreeRS) Snapshot() *FreeRS {
-	return &FreeRS{
-		regs:        f.regs.Snapshot(),
-		seedIdx:     f.seedIdx,
-		seedRank:    f.seedRank,
-		est:         f.est.Snapshot(),
-		total:       f.total,
-		edges:       f.edges,
-		postUpdateQ: f.postUpdateQ,
-		width:       f.width,
-	}
-}
+func (f *FreeRS) Snapshot() *FreeRS { return f.fork(f.regs.Snapshot(), f.est.Snapshot()) }
 
 // SnapshotEstimates returns an O(1) estimates-only fork of f; see
 // FreeBS.SnapshotEstimates.
-func (f *FreeRS) SnapshotEstimates() *FreeRS {
-	return &FreeRS{
-		regs:        f.regs.Stats(),
-		seedIdx:     f.seedIdx,
-		seedRank:    f.seedRank,
-		est:         f.est.Snapshot(),
-		total:       f.total,
-		edges:       f.edges,
-		postUpdateQ: f.postUpdateQ,
-		width:       f.width,
-	}
+func (f *FreeRS) SnapshotEstimates() *FreeRS { return f.fork(f.regs.Stats(), f.est.Snapshot()) }
+
+// fork returns a copy of f holding regs and est in place of its own; see
+// FreeBS.fork.
+func (f *FreeRS) fork(regs *regarray.Array, est *usertab.Table) *FreeRS {
+	c := *f
+	c.regs, c.est = regs, est
+	return &c
 }

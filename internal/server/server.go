@@ -1334,7 +1334,7 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 		}
 		k = v
 	}
-	// TopK delegates to the view's shard-concurrent selection (TopKer).
+	// TopK runs the view's shard-concurrent selection.
 	start := time.Now()
 	top := streamcard.TopK(s.sh.Snapshot(), k)
 	s.observeAnalytics("topk", start)

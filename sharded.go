@@ -64,7 +64,7 @@ type Sharded struct {
 
 type shard struct {
 	mu  sync.Mutex
-	est Estimator
+	est layer
 }
 
 // NewSharded returns a sharded wrapper with n shards; build(i) must return
@@ -88,8 +88,7 @@ func NewSharded(n int, build func(shard int) Estimator) *Sharded {
 	}
 	s.part = stream.NewPartitioner(n, s.ShardIndex)
 	for i := range s.shards {
-		est := build(i)
-		checkShard(est)
+		est := checkShard(build(i))
 		if i > 0 && reflect.TypeOf(est) != reflect.TypeOf(s.shards[0].est) {
 			panic(fmt.Sprintf("streamcard: NewSharded needs shards of one type, got %s and %s",
 				s.shards[0].est.Name(), est.Name()))
@@ -100,19 +99,20 @@ func NewSharded(n int, build func(shard int) Estimator) *Sharded {
 	return s
 }
 
-// checkShard panics unless est is a shard NewSharded accepts.
-func checkShard(est Estimator) {
-	switch e := est.(type) {
-	case nil:
-		panic("streamcard: build returned nil estimator")
-	case *FreeBS, *FreeRS:
-	case *Windowed:
-		if e.cfg.everyEdges != 0 {
-			panic(fmt.Sprintf("streamcard: NewSharded needs %s shards without a rotation boundary of their own: Sharded.Rotate advances them", e.Name()))
+// checkShard returns est as a layer, and panics unless it is a shard
+// NewSharded accepts.
+func checkShard(est Estimator) layer {
+	l, ok := est.(layer)
+	if !ok {
+		if est == nil {
+			panic("streamcard: build returned nil estimator")
 		}
-	default:
 		panic(fmt.Sprintf("streamcard: NewSharded needs FreeBS, FreeRS or Windowed shards, not %s", est.Name()))
 	}
+	if w, ok := l.(*Windowed); ok && w.cfg.everyEdges != 0 {
+		panic(fmt.Sprintf("streamcard: NewSharded needs %s shards without a rotation boundary of their own: Sharded.Rotate advances them", w.Name()))
+	}
+	return l
 }
 
 // ShardIndex returns the shard user's edges are routed to. Exported so
@@ -249,15 +249,6 @@ func (s *Sharded) RangeUsers(fn func(user uint64, estimate float64)) { s.Snapsho
 // partition across shards). Snapshot-served.
 func (s *Sharded) NumUsers() int { return s.Snapshot().NumUsers() }
 
-// Rotator is the epoch-advance surface of time-windowed estimators:
-// Windowed implements it, Sharded fans it out, and deployments drive it from
-// whatever marks their epochs (a timer, a watermark in the stream, an
-// operator command).
-type Rotator interface {
-	// Rotate closes the current epoch and starts a fresh one.
-	Rotate()
-}
-
 // Rotate advances every shard's window by one epoch. It takes every shard
 // lock in ascending order — the one order of every path that holds more
 // than one — so a rotation never tears a concurrent ObserveBatch (the
@@ -276,16 +267,16 @@ type Rotator interface {
 // wait for the rotation rather than readers. The server quiesces its
 // ingest pipeline before it rotates, so there those waits are empty.
 func (s *Sharded) Rotate() {
-	if _, ok := s.shards[0].est.(Rotator); !ok {
+	if _, ok := s.shards[0].est.(*Windowed); !ok {
 		panic(fmt.Sprintf("streamcard: %s shards do not rotate (wrap a Windowed estimator)", s.shards[0].est.Name()))
 	}
 	s.lockAll()
 	defer s.unlockAll()
 	for i := range s.shards {
-		s.shards[i].est.(Rotator).Rotate()
+		s.shards[i].est.(*Windowed).Rotate()
 	}
 	if s.set.Load() != nil {
-		s.set.Store(s.cutLocked(forkView))
+		s.set.Store(s.cutLocked(layer.view))
 	}
 }
 

@@ -122,4 +122,10 @@ func TestShardedPanics(t *testing.T) {
 			return NewFreeRS(1 << 12)
 		})
 	})
+	// Shards are sketches or windows of them, never a Sharded stack.
+	mustPanic(t, func() {
+		NewSharded(2, func(int) Estimator {
+			return NewSharded(2, func(int) Estimator { return NewFreeRS(1 << 12) })
+		})
+	})
 }

@@ -16,10 +16,10 @@ package streamcard
 // one read set of immutable per-shard sketches, so reads never stall
 // writes — and it makes the write path the only lock domain in the stack.
 //
-// Published forks are estimates-only (Snapshotter): each shard's per-user
-// table forked copy-on-write plus its array's maintained statistics, never
-// the array words, so publishing on every write costs the writer no array
-// copy. The two readers of array words — checkpoints and the merged union
+// Published forks are estimates-only (each shard's layer view): its
+// per-user table forked copy-on-write plus its array's maintained
+// statistics, never the array words, so publishing on every write costs
+// the writer no array copy. The two readers of array words — checkpoints and the merged union
 // total — take FullSnapshot, an unpublished cut of full copy-on-write
 // forks, at their own cadence.
 //
@@ -44,7 +44,7 @@ import "sync"
 // TotalDistinctMerged's one full cut, lock-free.
 type ShardedView struct {
 	parent *Sharded
-	views  []AnytimeEstimator
+	views  []layer
 
 	// The merged union total is cached on the view: repeated /total queries
 	// against the same published cut merge once. A new publication is a new
@@ -71,7 +71,7 @@ func (s *Sharded) Snapshot() *ShardedView {
 	defer s.unlockAll()
 	v := s.set.Load()
 	if v == nil { // no other first reader armed it while this one waited
-		v = s.cutLocked(forkView)
+		v = s.cutLocked(layer.view)
 		s.set.Store(v)
 	}
 	return v
@@ -90,8 +90,8 @@ func (s *Sharded) publishShard(t int) {
 	if cur == nil {
 		return
 	}
-	fork := forkView(s.shards[t].est).(AnytimeEstimator)
-	next := &ShardedView{parent: s, views: make([]AnytimeEstimator, len(cur.views))}
+	fork := s.shards[t].est.view()
+	next := &ShardedView{parent: s, views: make([]layer, len(cur.views))}
 	for {
 		copy(next.views, cur.views)
 		next.views[t] = fork
@@ -120,10 +120,10 @@ func (s *Sharded) unlockAll() {
 // cutLocked returns a view of fork applied to every shard. Caller holds
 // every shard lock, so the cut freezes one epoch and waited at most for the
 // absorbs that were in flight.
-func (s *Sharded) cutLocked(fork func(Estimator) Estimator) *ShardedView {
-	v := &ShardedView{parent: s, views: make([]AnytimeEstimator, len(s.shards))}
+func (s *Sharded) cutLocked(fork func(layer) layer) *ShardedView {
+	v := &ShardedView{parent: s, views: make([]layer, len(s.shards))}
 	for i := range s.shards {
-		v.views[i] = fork(s.shards[i].est).(AnytimeEstimator)
+		v.views[i] = fork(s.shards[i].est)
 	}
 	return v
 }
@@ -141,7 +141,7 @@ func (s *Sharded) cutLocked(fork func(Estimator) Estimator) *ShardedView {
 func (s *Sharded) FullSnapshot() *ShardedView {
 	s.lockAll()
 	defer s.unlockAll()
-	return s.cutLocked(forkFull)
+	return s.cutLocked(layer.cut)
 }
 
 // NumShards returns the number of per-shard views.
@@ -149,7 +149,8 @@ func (v *ShardedView) NumShards() int { return len(v.views) }
 
 // ShardView returns shard i's frozen estimator — on a FullSnapshot cut, the
 // checkpoint writer serializes these in shard order. A published view's
-// are estimates-only (see Snapshotter). Treat it as read-only.
+// are estimates-only: MarshalBinary and Merge refuse them. Treat it as
+// read-only.
 func (v *ShardedView) ShardView(i int) Estimator { return v.views[i] }
 
 // Epoch returns the window epoch this view froze — every shard sits at it
@@ -218,7 +219,7 @@ func (v *ShardedView) Users(fn func(user uint64, estimate float64)) {
 func (v *ShardedView) RangeUsers(fn func(user uint64, estimate float64)) {
 	v.prepareFolds()
 	for _, e := range v.views {
-		rangeUsers(e, fn)
+		e.RangeUsers(fn)
 	}
 }
 
@@ -250,34 +251,19 @@ func (v *ShardedView) NumUsers() int {
 // must sit at one epoch; otherwise the merge reports ErrIncompatible.
 func (v *ShardedView) TotalDistinctMerged() (float64, error) {
 	v.mergedOnce.Do(func() {
-		v.merged, v.mergedErr = mergeEstimators(v.parent.FullSnapshot().views)
+		v.merged, v.mergedErr = mergedTotal(v.parent.FullSnapshot().views)
 	})
 	return v.merged, v.mergedErr
 }
 
-// mergeEstimators clones the first of a frozen slice of full forks, all of
-// one shard type, and folds the rest in.
-func mergeEstimators(views []AnytimeEstimator) (float64, error) {
-	switch views[0].(type) {
-	case *FreeBS:
-		return mergeViews(views, (*FreeBS).Merge)
-	case *FreeRS:
-		return mergeViews(views, (*FreeRS).Merge)
-	default:
-		// Windowed: foldFrom skips Merge's clone per fold — on error the
-		// private accumulator is discarded whole.
-		return mergeViews(views, (*Windowed).foldFrom)
-	}
-}
-
-// mergeViews clones the first view and folds the rest into the clone.
-func mergeViews[T interface {
-	AnytimeEstimator
-	Clone() T
-}](views []AnytimeEstimator, fold func(acc, next T) error) (float64, error) {
-	acc := views[0].(T).Clone()
+// mergedTotal clones the first of a full cut's shard forks, merges the rest
+// into the clone, and returns the union's total. A Windowed accumulator
+// folds in place (merge is not failure-atomic), which is safe because the
+// clone is private and discarded whole on error.
+func mergedTotal(views []layer) (float64, error) {
+	acc := views[0].clone()
 	for _, e := range views[1:] {
-		if err := fold(acc, e.(T)); err != nil {
+		if err := acc.merge(e); err != nil {
 			return 0, err
 		}
 	}

@@ -31,6 +31,7 @@
 package streamcard
 
 import (
+	"encoding"
 	"fmt"
 
 	"repro/internal/core"
@@ -98,31 +99,6 @@ type AnytimeEstimator interface {
 	NumUsers() int
 }
 
-// Snapshotter is the read side of the snapshot-isolated serving
-// architecture: estimators that can produce an O(1), logically frozen,
-// read-only view of their current state. The view is estimates-only: it
-// shares the per-user estimate table copy-on-write and keeps the shared
-// array's maintained statistics (zero count, harmonic sum) but not its
-// words, so taking it never makes the writer copy the array. Reads of the
-// view — Estimate, TotalDistinct, Users, NumUsers, TopK — need no
-// synchronization with ongoing ingestion and equal a full snapshot's bit
-// for bit. What reads the array words refuses the view: MarshalBinary
-// returns an error, Merge from the view reports ErrIncompatible, and Clone
-// panics. Checkpoints and merged totals take a
-// full cut instead (FreeBS/FreeRS Snapshot, Sharded.FullSnapshot).
-//
-// FreeBS, FreeRS, and Windowed (always over one of the two) implement it,
-// and none ever returns a nil view; Sharded publishes whole snapshot sets
-// through its own Snapshot method.
-type Snapshotter interface {
-	Estimator
-	// SnapshotView returns a frozen estimates-only view of the current
-	// state, never nil. The call must be serialized with writers (it is
-	// O(1), so callers take it under the same lock that guards Observe);
-	// reads of the returned view are then lock-free.
-	SnapshotView() Estimator
-}
-
 // UserRanger is the unordered counterpart of AnytimeEstimator's Users: fn
 // is called once per user with a nonzero estimate, in the estimate table's
 // layout order — allocation-free and without Users' sort. The order is
@@ -144,6 +120,34 @@ func rangeUsers(est AnytimeEstimator, fn func(user uint64, estimate float64)) {
 		return
 	}
 	est.Users(fn)
+}
+
+// layer is the one contract the serving stack holds its sketches by.
+// FreeBS, FreeRS and Windowed (over either) implement it, so a Windowed
+// generation, a Sharded shard and a ShardedView slot are each a layer, and
+// the stack reaches them through these methods instead of switching on
+// their types. The two forks are O(1) and must be serialized with writers
+// (callers take them under the lock that guards Observe); reads of a fork
+// are then lock-free. view is the estimates-only fork the read path
+// publishes: its estimate reads equal a full fork's bit for bit, but it
+// has no array words, so MarshalBinary errors, merge from it reports
+// ErrIncompatible and clone panics. cut is the full copy-on-write fork
+// that checkpoints and merged totals read.
+type layer interface {
+	AnytimeEstimator
+	UserRanger
+	encoding.BinaryMarshaler
+	encoding.BinaryUnmarshaler
+	// view returns the estimates-only fork, never nil.
+	view() layer
+	// cut returns the full copy-on-write fork, never nil.
+	cut() layer
+	// clone returns an independent deep copy.
+	clone() layer
+	// merge folds other into the receiver. other must be the same type
+	// built with identical parameters; otherwise merge reports
+	// ErrIncompatible.
+	merge(other layer) error
 }
 
 // Key hashes an arbitrary string identifier (an IP address, a URL, a user
@@ -232,11 +236,6 @@ func (f *FreeBS) Clone() *FreeBS { return &FreeBS{inner: f.inner.Clone()} }
 // then lock-free.
 func (f *FreeBS) Snapshot() *FreeBS { return &FreeBS{inner: f.inner.Snapshot()} }
 
-// SnapshotView implements Snapshotter with an estimates-only fork: unlike
-// Snapshot, it leaves the bit array unshared, so f's next write pays no
-// array copy.
-func (f *FreeBS) SnapshotView() Estimator { return &FreeBS{inner: f.inner.SnapshotEstimates()} }
-
 // Estimate implements Estimator.
 func (f *FreeBS) Estimate(user uint64) float64 { return f.inner.Estimate(user) }
 
@@ -262,6 +261,19 @@ func (f *FreeBS) NumUsers() int { return f.inner.NumUsers() }
 // Saturated reports whether the shared array has no zero bits left; past
 // this point new pairs can no longer be counted (the M·ln M range limit).
 func (f *FreeBS) Saturated() bool { return f.inner.Saturated() }
+
+// view, cut, clone and merge implement layer.
+func (f *FreeBS) view() layer  { return &FreeBS{inner: f.inner.SnapshotEstimates()} }
+func (f *FreeBS) cut() layer   { return f.Snapshot() }
+func (f *FreeBS) clone() layer { return f.Clone() }
+
+func (f *FreeBS) merge(other layer) error {
+	o, ok := other.(*FreeBS)
+	if !ok {
+		return fmt.Errorf("streamcard: merging %s into FreeBS: %w", other.Name(), ErrIncompatible)
+	}
+	return f.Merge(o)
+}
 
 // ---- FreeRS ----
 
@@ -305,10 +317,6 @@ func (f *FreeRS) Clone() *FreeRS { return &FreeRS{inner: f.inner.Clone()} }
 // current state; see FreeBS.Snapshot for the contract.
 func (f *FreeRS) Snapshot() *FreeRS { return &FreeRS{inner: f.inner.Snapshot()} }
 
-// SnapshotView implements Snapshotter with an estimates-only fork; see
-// FreeBS.SnapshotView.
-func (f *FreeRS) SnapshotView() Estimator { return &FreeRS{inner: f.inner.SnapshotEstimates()} }
-
 // Estimate implements Estimator.
 func (f *FreeRS) Estimate(user uint64) float64 { return f.inner.Estimate(user) }
 
@@ -329,6 +337,19 @@ func (f *FreeRS) RangeUsers(fn func(uint64, float64)) { f.inner.RangeUsers(fn) }
 
 // NumUsers implements AnytimeEstimator.
 func (f *FreeRS) NumUsers() int { return f.inner.NumUsers() }
+
+// view, cut, clone and merge implement layer.
+func (f *FreeRS) view() layer  { return &FreeRS{inner: f.inner.SnapshotEstimates()} }
+func (f *FreeRS) cut() layer   { return f.Snapshot() }
+func (f *FreeRS) clone() layer { return f.Clone() }
+
+func (f *FreeRS) merge(other layer) error {
+	o, ok := other.(*FreeRS)
+	if !ok {
+		return fmt.Errorf("streamcard: merging %s into FreeRS: %w", other.Name(), ErrIncompatible)
+	}
+	return f.Merge(o)
+}
 
 // ---- CSE ----
 
@@ -499,10 +520,8 @@ func (a adaptor) Users(fn func(uint64, float64)) { rangeUsers(a.e, fn) }
 var (
 	_ AnytimeEstimator = (*FreeBS)(nil)
 	_ AnytimeEstimator = (*FreeRS)(nil)
-	_ UserRanger       = (*FreeBS)(nil)
-	_ UserRanger       = (*FreeRS)(nil)
-	_ Snapshotter      = (*FreeBS)(nil)
-	_ Snapshotter      = (*FreeRS)(nil)
+	_ layer            = (*FreeBS)(nil)
+	_ layer            = (*FreeRS)(nil)
 	_ Estimator        = (*CSE)(nil)
 	_ Estimator        = (*VHLL)(nil)
 	_ Estimator        = (*PerUserLPC)(nil)

@@ -6,25 +6,20 @@ import (
 )
 
 // TopK returns the k users with the largest current estimates, descending
-// (ties broken by ascending user ID for determinism). When est natively
-// implements TopKer — ShardedView's shard-concurrent selection, Sharded's
-// snapshot routing — the call delegates to it; otherwise it runs the
-// sequential reference. Either way the result is the same, bit for bit: the
-// output order is a strict total order over unique users, so the selected
-// set and its order do not depend on the execution strategy.
+// (ties broken by ascending user ID for determinism). On a Sharded or a
+// ShardedView it runs the shard-concurrent selection; on any other
+// estimator, the sequential reference. Either way the result is the same,
+// bit for bit: the output order is a strict total order over unique users,
+// so the selected set and its order do not depend on the execution
+// strategy.
 func TopK(est AnytimeEstimator, k int) []Spreader {
-	if t, ok := est.(TopKer); ok {
-		return t.TopK(k)
+	switch e := est.(type) {
+	case *Sharded:
+		return e.TopK(k)
+	case *ShardedView:
+		return e.TopK(k)
 	}
 	return TopKSerial(est, k)
-}
-
-// TopKer is implemented by estimators with a native top-k selection path.
-// Implementations must return exactly what TopKSerial over the same state
-// returns — bit-identical, including order — so TopK stays one query with
-// interchangeable execution strategies.
-type TopKer interface {
-	TopK(k int) []Spreader
 }
 
 // TopKSerial is the sequential reference selection: one bounded min-heap fed

@@ -1,7 +1,6 @@
 package streamcard
 
 import (
-	"encoding"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -48,7 +47,7 @@ import (
 // windows), generation-wise Merge/Clone, and MarshalBinary/UnmarshalBinary
 // checkpointing of all live generations plus the epoch bookkeeping.
 type Windowed struct {
-	build func() Estimator // type-checked wrapper around the user's build
+	build func() layer // type-checked wrapper around the user's build
 	cfg   windowedConfig
 	name  string
 
@@ -60,9 +59,9 @@ type Windowed struct {
 	// mu covers gens, epoch and edges on a live window: every feed,
 	// rotation and restore, and the reads that need them to be consistent.
 	mu    sync.Mutex
-	gens  []Estimator // live generations, newest first: min(epoch+1, k) of them
-	epoch uint64      // rotations performed so far
-	edges uint64      // edges attributed to the current epoch
+	gens  []layer // live generations, newest first: min(epoch+1, k) of them
+	epoch uint64  // rotations performed so far
+	edges uint64  // edges attributed to the current epoch
 
 	// pub caches the estimates-only view Snapshot built last. Every
 	// mutation clears it under mu, so a non-nil pub always freezes the
@@ -145,39 +144,25 @@ func NewWindowed(build func() Estimator, opts ...WindowedOption) *Windowed {
 	if cfg.k < 2 {
 		panic(fmt.Sprintf("streamcard: Windowed needs at least 2 generations, got %d", cfg.k))
 	}
-	wrapped := func() Estimator {
-		switch e := build(); e.(type) {
-		case *FreeBS, *FreeRS:
-			return e
+	// A Windowed is a layer too, so the check names the two sketches
+	// rather than asserting the contract.
+	wrapped := func() layer {
+		switch g := build().(type) {
+		case *FreeBS:
+			return g
+		case *FreeRS:
+			return g
 		case nil:
 			panic("streamcard: build returned nil estimator")
 		default:
-			panic(fmt.Sprintf("streamcard: Windowed generations must be FreeBS or FreeRS, not %s", e.Name()))
+			panic(fmt.Sprintf("streamcard: Windowed generations must be FreeBS or FreeRS, not %s", g.Name()))
 		}
 	}
-	w := &Windowed{build: wrapped, cfg: cfg, gens: make([]Estimator, 1, cfg.k)}
+	w := &Windowed{build: wrapped, cfg: cfg, gens: make([]layer, 1, cfg.k)}
 	w.gens[0] = wrapped()
 	w.name = fmt.Sprintf("Windowed(%s,k=%d)", w.gens[0].Name(), cfg.k)
 	return w
 }
-
-// forkFull returns a full copy-on-write fork of a FreeBS, a FreeRS, or a
-// Windowed over either. Unlike SnapshotView's estimates-only view it keeps
-// the array words, so MarshalBinary and Merge work on it, and the writer
-// pays one array copy on its next write. It backs the full cuts that
-// checkpoints and merged totals read (Sharded.FullSnapshot).
-func forkFull(e Estimator) Estimator {
-	switch t := e.(type) {
-	case *FreeBS:
-		return t.Snapshot()
-	case *FreeRS:
-		return t.Snapshot()
-	}
-	return e.(*Windowed).fullSnapshot()
-}
-
-// forkView returns a generation's estimates-only view (Snapshotter).
-func forkView(e Estimator) Estimator { return e.(Snapshotter).SnapshotView() }
 
 // Snapshot returns an O(1), logically frozen, estimates-only view of the
 // whole window — every live generation's per-user table forked
@@ -188,8 +173,8 @@ func forkView(e Estimator) Estimator { return e.(Snapshotter).SnapshotView() }
 // with no synchronization against ongoing ingestion, and readers of one
 // view never lock or wait on each other. A view's Snapshot is the view
 // itself. The view is immutable: Observe, ObserveBatch, Rotate,
-// UnmarshalBinary and Merge into it panic. It carries no array words (see
-// Snapshotter): MarshalBinary on it returns an error, Merge from it reports
+// UnmarshalBinary and Merge into it panic. It carries no array words:
+// MarshalBinary on it returns an error, Merge from it reports
 // ErrIncompatible, and Clone panics. Checkpoint and merge the live
 // Windowed instead, or a Sharded.FullSnapshot cut. Taking the view leaves
 // the arrays unshared, so the writer's next write pays at most a copy of
@@ -220,7 +205,7 @@ func (w *Windowed) Snapshot() *Windowed {
 	defer w.mu.Unlock()
 	v := w.pub.Load()
 	if v == nil { // no other reader built it while this one waited
-		v = w.freezeLocked(forkView)
+		v = w.freezeLocked(layer.view)
 		w.pub.Store(v)
 	}
 	return v
@@ -235,15 +220,15 @@ func (w *Windowed) Snapshot() *Windowed {
 func (w *Windowed) fullSnapshot() *Windowed {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return w.freezeLocked(forkFull)
+	return w.freezeLocked(layer.cut)
 }
 
 // freezeLocked returns a view holding fork applied to every live
 // generation. The caller holds the window lock, so the forks and the epoch
 // bookkeeping describe one instant.
-func (w *Windowed) freezeLocked(fork func(Estimator) Estimator) *Windowed {
+func (w *Windowed) freezeLocked(fork func(layer) layer) *Windowed {
 	v := &Windowed{build: w.build, cfg: w.cfg, name: w.name, frozen: true,
-		gens: make([]Estimator, len(w.gens)), epoch: w.epoch, edges: w.edges}
+		gens: make([]layer, len(w.gens)), epoch: w.epoch, edges: w.edges}
 	for i, g := range w.gens {
 		v.gens[i] = fork(g)
 	}
@@ -273,8 +258,11 @@ func (w *Windowed) unlock() {
 	}
 }
 
-// SnapshotView implements Snapshotter.
-func (w *Windowed) SnapshotView() Estimator { return w.Snapshot() }
+// view, cut, clone and merge implement layer: a Windowed shard's views
+// and cuts are window views.
+func (w *Windowed) view() layer  { return w.Snapshot() }
+func (w *Windowed) cut() layer   { return w.fullSnapshot() }
+func (w *Windowed) clone() layer { return w.Clone() }
 
 // Observe implements Estimator (feeds the newest generation).
 func (w *Windowed) Observe(user, item uint64) {
@@ -378,7 +366,7 @@ func (w *Windowed) rotateLocked() {
 // edges, and clears the cached view: the restore step of Merge and
 // UnmarshalBinary. Both build a valid state first (a merged clone, a
 // checkpoint core.UnmarshalWindow checked), so it checks nothing.
-func (w *Windowed) install(gens []Estimator, epoch, edges uint64) {
+func (w *Windowed) install(gens []layer, epoch, edges uint64) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	w.gens, w.epoch, w.edges = gens, epoch, edges
@@ -444,7 +432,7 @@ func (w *Windowed) UserEntries() int {
 	defer w.unlock()
 	total := 0
 	for _, g := range w.gens {
-		total += g.(AnytimeEstimator).NumUsers()
+		total += g.NumUsers()
 	}
 	return total
 }
@@ -490,7 +478,7 @@ func (w *Windowed) runFold() {
 func (w *Windowed) computeUserSums() *usertab.Table {
 	merged := usertab.NewWithCapacity(w.UserEntries())
 	for _, g := range w.gens {
-		rangeUsers(g.(AnytimeEstimator), func(u uint64, e float64) { merged.Add(u, e) })
+		g.RangeUsers(func(u uint64, e float64) { merged.Add(u, e) })
 	}
 	return merged
 }
@@ -515,48 +503,39 @@ func (w *Windowed) Merge(other *Windowed) error {
 		return fmt.Errorf("streamcard: Windowed.Merge with itself: %w", ErrIncompatible)
 	}
 	merged := w.Clone()
-	if err := merged.foldFrom(other); err != nil {
+	if err := merged.merge(other); err != nil {
 		return err
 	}
 	w.install(merged.gens, merged.epoch, merged.edges+other.edges)
 	return nil
 }
 
-// foldFrom folds other's generations into w in place: equal generation
-// counts, equal epochs, and generations of one type built with identical
-// parameters (ErrIncompatible otherwise). It needs no failure atomicity, so
-// callers fold into a private clone — Merge installs the clone on success,
-// and Sharded.TotalDistinctMerged folds every shard into one accumulator
+// merge folds other's generations into w in place: other must be a
+// Windowed with an equal generation count, at the same epoch, over
+// generations built with identical parameters (ErrIncompatible otherwise).
+// Unlike Merge it is not failure-atomic, so callers fold into a private
+// clone — Merge installs the clone on success, and
+// ShardedView.TotalDistinctMerged folds every shard into one accumulator
 // without paying a clone per fold. other must be quiescent (a frozen
 // full-cut view).
-func (w *Windowed) foldFrom(other *Windowed) error {
-	if w.cfg.k != other.cfg.k {
-		return fmt.Errorf("streamcard: windows with k=%d vs k=%d: %w",
-			w.cfg.k, other.cfg.k, ErrIncompatible)
+func (w *Windowed) merge(other layer) error {
+	o, ok := other.(*Windowed)
+	if !ok {
+		return fmt.Errorf("streamcard: merging %s into %s: %w", other.Name(), w.name, ErrIncompatible)
 	}
-	if w.epoch != other.epoch {
-		return fmt.Errorf("streamcard: windows at epoch %d vs %d: %w", w.epoch, other.epoch, ErrIncompatible)
+	if w.cfg.k != o.cfg.k {
+		return fmt.Errorf("streamcard: windows with k=%d vs k=%d: %w",
+			w.cfg.k, o.cfg.k, ErrIncompatible)
+	}
+	if w.epoch != o.epoch {
+		return fmt.Errorf("streamcard: windows at epoch %d vs %d: %w", w.epoch, o.epoch, ErrIncompatible)
 	}
 	for i, g := range w.gens {
-		if err := foldGen(g, other.gens[i]); err != nil {
+		if err := g.merge(o.gens[i]); err != nil {
 			return fmt.Errorf("streamcard: window generation %d: %w", i, err)
 		}
 	}
 	return nil
-}
-
-func foldGen(mine, theirs Estimator) error {
-	switch m := mine.(type) {
-	case *FreeBS:
-		if o, ok := theirs.(*FreeBS); ok {
-			return m.Merge(o)
-		}
-	case *FreeRS:
-		if o, ok := theirs.(*FreeRS); ok {
-			return m.Merge(o)
-		}
-	}
-	return fmt.Errorf("generation types %s vs %s: %w", mine.Name(), theirs.Name(), ErrIncompatible)
 }
 
 // Clone returns an independent deep copy of w: same configuration, every
@@ -567,13 +546,9 @@ func foldGen(mine, theirs Estimator) error {
 func (w *Windowed) Clone() *Windowed {
 	w.lock()
 	defer w.unlock()
-	gens := make([]Estimator, len(w.gens), w.cfg.k)
+	gens := make([]layer, len(w.gens), w.cfg.k)
 	for i, g := range w.gens {
-		if b, ok := g.(*FreeBS); ok {
-			gens[i] = b.Clone()
-		} else {
-			gens[i] = g.(*FreeRS).Clone()
-		}
+		gens[i] = g.clone()
 	}
 	return &Windowed{build: w.build, cfg: w.cfg, name: w.name, gens: gens, epoch: w.epoch, edges: w.edges}
 }
@@ -591,7 +566,7 @@ func (w *Windowed) MarshalBinary() ([]byte, error) {
 	}
 	payloads := make([][]byte, len(v.gens))
 	for i, g := range v.gens {
-		p, err := g.(encoding.BinaryMarshaler).MarshalBinary()
+		p, err := g.MarshalBinary()
 		if err != nil {
 			return nil, err
 		}
@@ -618,10 +593,10 @@ func (w *Windowed) UnmarshalBinary(data []byte) error {
 		return fmt.Errorf("streamcard: checkpoint of a k=%d window into a k=%d window: %w",
 			k, w.cfg.k, ErrIncompatible)
 	}
-	gens := make([]Estimator, len(payloads), k)
+	gens := make([]layer, len(payloads), k)
 	for i, p := range payloads {
 		g := w.build()
-		if err := g.(encoding.BinaryUnmarshaler).UnmarshalBinary(p); err != nil {
+		if err := g.UnmarshalBinary(p); err != nil {
 			return fmt.Errorf("streamcard: window generation %d: %w", i, err)
 		}
 		gens[i] = g
@@ -630,9 +605,4 @@ func (w *Windowed) UnmarshalBinary(data []byte) error {
 	return nil
 }
 
-var (
-	_ Estimator        = (*Windowed)(nil)
-	_ AnytimeEstimator = (*Windowed)(nil)
-	_ UserRanger       = (*Windowed)(nil)
-	_ Rotator          = (*Windowed)(nil)
-)
+var _ layer = (*Windowed)(nil)

@@ -372,6 +372,18 @@ func TestWindowedMergeClone(t *testing.T) {
 	if a.TotalDistinct() != beforeTotal {
 		t.Fatal("failed merge mutated the receiver")
 	}
+	// A FreeBS window at the same k and epoch is refused generation by
+	// generation, and the receiver is untouched.
+	bs := NewWindowed(func() Estimator { return NewFreeBS(1<<18, WithSeed(21)) }, WithGenerations(3))
+	bs.Observe(1, 2)
+	bs.Rotate()
+	bs.Rotate()
+	if err := a.Merge(bs); !errors.Is(err, ErrIncompatible) {
+		t.Fatalf("FreeBS window into a FreeRS window: %v", err)
+	}
+	if a.TotalDistinct() != beforeTotal {
+		t.Fatal("failed FreeBS-into-FreeRS merge mutated the receiver")
+	}
 }
 
 func TestWindowedMemoryAndName(t *testing.T) {
@@ -406,6 +418,12 @@ func TestWindowedPanics(t *testing.T) {
 	// A non-anytime underlying estimator is a usage error, caught at
 	// construction.
 	mustPanic(t, func() { NewWindowed(func() Estimator { return NewCSE(1<<12, 64) }) })
+	// So is a window of windows, although a Windowed is a stack layer too.
+	mustPanic(t, func() {
+		NewWindowed(func() Estimator {
+			return NewWindowed(func() Estimator { return NewFreeBS(64) })
+		})
+	})
 }
 
 // TestWindowedViewRefusesMutation: a view is immutable. Every mutator
