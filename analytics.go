@@ -16,9 +16,11 @@ package streamcard
 //
 // This file fans that per-shard work out over a bounded worker pool sized to
 // GOMAXPROCS: TopK runs one bounded min-heap per shard and merges the
-// winners, NumUsers sums per-shard counts, and Users/RangeUsers pre-warm the
-// per-shard window folds in parallel before their serial in-order
-// enumeration (fn is called serially — that contract does not change).
+// winners, NumUsers sums per-shard counts, and Users/RangeUsers fold every
+// shard's window in parallel before their serial in-order enumeration (fn
+// is called serially — that contract does not change). Each read folds
+// the view's frozen generations afresh: nearly every write publishes a new
+// view, so a fold kept on a view would almost never be read twice.
 // Results are bit-identical to the sequential reference: the output order is
 // a strict total order over unique users, so neither the shard split nor the
 // pool's scheduling can reach the output.
@@ -27,6 +29,8 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/usertab"
 )
 
 // forEachShard runs work(i) for every i in [0, n) on a bounded worker pool
@@ -116,36 +120,17 @@ func mergeTopK(per [][]Spreader, k int) []Spreader {
 	return all
 }
 
-// prepareFolds warms each shard view's window fold on the worker pool, so
-// the serial in-order enumeration that follows (Users and RangeUsers call
-// fn serially, shard by shard — that contract is kept) reads cached folds
-// instead of folding generations one shard at a time on its own goroutine.
-// Already-cached folds make this a near-free atomic check per shard;
-// non-windowed shard views have no cross-generation fold to warm.
-func (v *ShardedView) prepareFolds() {
+// windowFolds folds every shard's window generations on the worker pool and
+// returns the merged per-user tables in shard order, or nil when the shards
+// are not windows (a plain sketch needs no fold). Users and RangeUsers
+// stream the tables serially, shard by shard.
+func (v *ShardedView) windowFolds() []*usertab.Table {
 	if _, ok := v.views[0].(*Windowed); !ok {
-		return
+		return nil
 	}
+	folds := make([]*usertab.Table, len(v.views))
 	forEachShard(len(v.views), func(i int) {
-		if w, ok := v.views[i].(*Windowed); ok {
-			w.warmFold()
-		}
+		folds[i] = v.views[i].(*Windowed).userSums()
 	})
+	return folds
 }
-
-// FoldStats counts window fold-cache outcomes across an estimator stack:
-// Computes is the number of cross-generation folds actually executed, Hits
-// the number of analytics reads served from a cached fold. Inject one with
-// WithFoldStats to count a stack's folds (the server does, and exports
-// them on /metrics); windows built without the option count nothing. All
-// methods are safe for concurrent use.
-type FoldStats struct {
-	computes atomic.Uint64
-	hits     atomic.Uint64
-}
-
-// Computes returns how many cross-generation folds were executed.
-func (s *FoldStats) Computes() uint64 { return s.computes.Load() }
-
-// Hits returns how many analytics reads were served from a cached fold.
-func (s *FoldStats) Hits() uint64 { return s.hits.Load() }

@@ -797,8 +797,9 @@ func (s serialView) NumUsers() int {
 // analyticsPhase times top-k, serial versus shard-parallel, on a stack
 // holding analyticsUsers users spread across the live generations, and
 // returns both legs' latencies in µs. Each timed iteration runs on a
-// freshly dirtied view: a one-edge write lands in every shard first, so
-// all fold caches are cold and both legs pay the same fold work.
+// freshly written view: a one-edge write lands in every shard first, as
+// in serving, where nearly every write publishes a new view between two
+// reads.
 func analyticsPhase() (serial, parallel []float64) {
 	s := buildStack(scalingShards)
 
@@ -828,8 +829,8 @@ func analyticsPhase() (serial, parallel []float64) {
 		}
 	}
 
-	// One resident user per shard, so a round of touch writes dirties every
-	// shard and the next snapshot publishes all-cold folds.
+	// One resident user per shard, so a round of touch writes lands in every
+	// shard and the next snapshot publishes a new view of each.
 	touch := make([]uint64, 0, scalingShards)
 	seen := make(map[int]bool, scalingShards)
 	for u := uint64(1); len(touch) < scalingShards && u <= analyticsUsers; u++ {

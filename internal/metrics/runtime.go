@@ -144,17 +144,6 @@ func (r *Registry) Counter(name, labels, help string) *Counter {
 	return c
 }
 
-// CounterFunc registers fn as a counter read at scrape time — the shape for
-// monotonic counts an instrumented subsystem already maintains in its own
-// atomics (fold-cache outcomes inside the estimator stack, say), where
-// pushing every increment through a *Counter would duplicate the state. fn
-// must be monotonic and safe to call from the scrape goroutine.
-func (r *Registry) CounterFunc(name, labels, help string, fn func() uint64) {
-	r.attach(name, help, "counter", labels, func() snapshot {
-		return snapshot{value: float64(fn()), isCount: true}
-	})
-}
-
 // Gauge registers fn as a gauge read at scrape time — the natural shape for
 // values the instrumented system already maintains (shard occupancy, queue
 // depth) rather than duplicates into a second variable. fn must be safe to

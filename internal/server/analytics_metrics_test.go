@@ -1,8 +1,7 @@
 package server
 
-// The analytics read path's /metrics surface: latency histograms per query
-// and the fold-cache counters — repeated analytics queries on an unchanged
-// stack must hit the cached folds, never re-fold.
+// The analytics read path's /metrics surface: a latency histogram per
+// query.
 
 import (
 	"fmt"
@@ -62,21 +61,10 @@ func TestAnalyticsMetricsAndFoldCache(t *testing.T) {
 	}
 
 	get("/topk?k=5")
-	computes := scrapeCounter(t, ts.URL, "cardserved_fold_cache_computes_total")
-	if computes == 0 {
-		t.Fatal("cold /topk executed no folds")
-	}
-	// Repeats on the unchanged stack: hits rise, computes do not.
 	get("/topk?k=5")
 	get("/users?limit=0")
 	get("/users?limit=3")
 	get("/total?method=merged")
-	if after := scrapeCounter(t, ts.URL, "cardserved_fold_cache_computes_total"); after != computes {
-		t.Fatalf("unchanged stack re-folded: computes %d -> %d", computes, after)
-	}
-	if hits := scrapeCounter(t, ts.URL, "cardserved_fold_cache_hits_total"); hits == 0 {
-		t.Fatal("repeated analytics queries counted no fold-cache hits")
-	}
 
 	// The per-query latency histograms observed the work.
 	resp, err := http.Get(ts.URL + "/metrics")

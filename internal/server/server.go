@@ -375,7 +375,6 @@ type Server struct {
 	walTruncated   *metrics.Counter
 	latency        map[string]*metrics.Histogram
 	analytics      map[string]*metrics.Histogram
-	foldStats      *streamcard.FoldStats
 	tcpConnsTotal  *metrics.Counter
 	tcpFrames      *metrics.Counter
 	tcpBytesRead   *metrics.Counter
@@ -402,7 +401,6 @@ func New(cfg Config) (*Server, error) {
 		reg:        metrics.NewRegistry(),
 		latency:    make(map[string]*metrics.Histogram),
 		analytics:  make(map[string]*metrics.Histogram),
-		foldStats:  &streamcard.FoldStats{},
 	}
 	for i := range s.queues {
 		s.queues[i] = make(chan shardItem, cfg.QueueDepth)
@@ -421,7 +419,6 @@ func New(cfg Config) (*Server, error) {
 	for i := range s.wins {
 		s.wins[i] = streamcard.NewWindowed(buildSketch,
 			streamcard.WithGenerations(cfg.Generations),
-			streamcard.WithFoldStats(s.foldStats),
 			streamcard.WithOnRetire(func(g streamcard.Estimator) {
 				s.retiredGens.Inc()
 				s.retiredPairs.Add(uint64(g.TotalDistinct() + 0.5))
@@ -574,12 +571,6 @@ func (s *Server) initMetrics() {
 	s.tcpAckLatency = s.reg.Histogram("cardserved_tcp_ack_seconds", "",
 		"Frame-read-to-ack-write latency over CWT1 (includes WAL commit).",
 		metrics.LatencyBuckets())
-	s.reg.CounterFunc("cardserved_fold_cache_computes_total", "",
-		"Cross-generation window folds executed on published views.",
-		s.foldStats.Computes)
-	s.reg.CounterFunc("cardserved_fold_cache_hits_total", "",
-		"Analytics reads served from a cached window fold instead of re-folding.",
-		s.foldStats.Hits)
 }
 
 // observeAnalytics records one analytics computation's latency.
@@ -1283,15 +1274,13 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 // instead: the shard sketches merged register-by-register into one sketch
 // (lower variance, since shared-seed shards overlap coherently), a fold
 // over every live generation that costs milliseconds at serving sizes.
-// The published snapshot carries no array words, so the merge runs on a
-// full cut (Sharded.FullSnapshot) taken at the first merged request
-// against the snapshot and is cached on it, so repeated merged totals over
-// an unchanged stack cut and merge once. If the merge reports an error
-// (the shards share one seed and rotate in lockstep, so none is expected)
-// the merged request falls back to the sum and says so in "method"; an
-// unknown method is a 400. The reported
-// epoch is the snapshot's: exactly the summed total's epoch, while a
-// rotation racing a merged request can put its full cut one epoch later.
+// The published snapshot carries no array words, so each merged request
+// merges a full cut (Sharded.FullSnapshot) taken then. If the merge
+// reports an error (the shards share one seed and rotate in lockstep, so
+// none is expected) the merged request falls back to the sum and says so
+// in "method"; an unknown method is a 400. The reported epoch is the
+// snapshot's: exactly the summed total's epoch, while a rotation racing a
+// merged request can put its full cut one epoch later.
 func (s *Server) handleTotal(w http.ResponseWriter, r *http.Request) {
 	method := r.URL.Query().Get("method")
 	if method == "" {
@@ -1401,7 +1390,7 @@ func (s *Server) handleUsers(w http.ResponseWriter, r *http.Request) {
 	bw.WriteString(`{"users":[`)
 	count := 0
 	var num [32]byte
-	// Timed around the enumeration: the fold pre-warm and sorted stream
+	// Timed around the enumeration: the parallel fold and sorted stream
 	// dominate; encoding rides inside fn but is a few appends per user.
 	start := time.Now()
 	s.sh.Snapshot().Users(func(u uint64, e float64) {
@@ -1424,15 +1413,24 @@ func (s *Server) handleUsers(w http.ResponseWriter, r *http.Request) {
 	_ = bw.Flush()
 }
 
+// handleHealthz reports the stack's shape. Once the WAL has latched an
+// error every ingest is refused, so the daemon answers 503 with the error
+// instead of "ok".
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{
+	code, body := http.StatusOK, map[string]any{
 		"status":      "ok",
 		"method":      s.cfg.Method,
 		"shards":      s.cfg.Shards,
 		"generations": s.cfg.Generations,
 		"epoch":       s.Epoch(),
 		"uptime_s":    int(time.Since(s.start).Seconds()),
-	})
+	}
+	if s.wal != nil {
+		if err := s.wal.Err(); err != nil {
+			code, body["status"], body["error"] = http.StatusServiceUnavailable, "wal failed", err.Error()
+		}
+	}
+	writeJSON(w, code, body)
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {

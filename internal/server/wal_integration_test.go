@@ -265,6 +265,26 @@ func TestServerWALMetricsAndFlushBarrier(t *testing.T) {
 	_ = s
 }
 
+// TestServerHealthzReportsLatchedWAL: once the WAL latches an error every
+// ingest is refused, so /healthz must stop saying ok: it answers 503 and
+// names the latched error.
+func TestServerHealthzReportsLatchedWAL(t *testing.T) {
+	s, ts := newTestServer(t, walConfig(t.TempDir(), t.TempDir()))
+	if code, body := get(t, ts.URL+"/healthz"); code != 200 || !strings.Contains(body, `"status":"ok"`) {
+		t.Fatalf("healthz on a healthy WAL server: %d %s", code, body)
+	}
+	if err := s.wal.Close(); err != nil { // latches "wal: closed"
+		t.Fatal(err)
+	}
+	if code, body := post(t, ts.URL+"/ingest", "1 2\n"); code != 500 {
+		t.Fatalf("ingest after the WAL latched: %d %s, want 500", code, body)
+	}
+	code, body := get(t, ts.URL+"/healthz")
+	if code != 503 || !strings.Contains(body, `"status":"wal failed"`) || !strings.Contains(body, "wal: closed") {
+		t.Fatalf("healthz with a latched WAL: %d %s, want 503 naming the error", code, body)
+	}
+}
+
 // TestServerWALFingerprintMismatch: a WAL written under one configuration
 // refuses to start under another — replaying those records into sketches
 // of a different shape would silently corrupt every later answer.

@@ -224,11 +224,12 @@ func (s *Sharded) MemoryBits() int64 {
 // estimates exact either way). With the customary distinct per-shard seeds
 // it reports ErrIncompatible — fall back to TotalDistinct, which sums shard
 // totals and needs no compatibility. Windowed shards are merged generation
-// by generation at their common epoch. Safe for concurrent use; see
-// ShardedView.TotalDistinctMerged for the full cut it merges and the
-// per-view cache.
+// by generation at their common epoch. Safe for concurrent use. Each call
+// merges a FullSnapshot cut taken then, so it never arms publication;
+// taking the cut holds every shard lock briefly, so the call must not run
+// under them (a WithOnRetire hook).
 func (s *Sharded) TotalDistinctMerged() (float64, error) {
-	return s.Snapshot().TotalDistinctMerged()
+	return mergedTotal(s.FullSnapshot().views)
 }
 
 // Users implements AnytimeEstimator: fn is called once per user with a

@@ -34,8 +34,6 @@ package streamcard
 // ascending order, so they cannot deadlock each other or a writer, which
 // holds one.
 
-import "sync"
-
 // ShardedView is one epoch-consistent frozen cut across every shard — the
 // unit all sharded queries are answered from. It implements the full read
 // side of AnytimeEstimator/UserRanger (the mutating methods panic), so it
@@ -45,24 +43,15 @@ import "sync"
 type ShardedView struct {
 	parent *Sharded
 	views  []layer
-
-	// The merged union total is cached on the view: repeated /total queries
-	// against the same published cut merge once. A new publication is a new
-	// ShardedView, so invalidation is automatic.
-	mergedOnce sync.Once
-	merged     float64
-	mergedErr  error
 }
 
 // Snapshot returns the stack's published view; it is never nil. Once
 // armed it is one atomic load, and it always reflects every write and
 // rotation that completed before the call (read-your-writes: the ?wait=1
 // ingestion contract). While no shard is written, repeated calls return the
-// same view — which is what makes the per-view caches (the merged total,
-// the window folds) effective. The first call arms publication: it takes a
-// cut under every shard lock, publishes it, and from then on every write
-// keeps the view current. Pure-ingest stacks (never queried) skip
-// publication entirely.
+// same view. The first call arms publication: it takes a cut under every
+// shard lock, publishes it, and from then on every write keeps the view
+// current. Pure-ingest stacks (never queried) skip publication entirely.
 func (s *Sharded) Snapshot() *ShardedView {
 	if v := s.set.Load(); v != nil {
 		return v
@@ -84,7 +73,7 @@ func (s *Sharded) Snapshot() *ShardedView {
 // only past writers publishing other shards, and each retry keeps their
 // slots. A plain Store would let two writers on different shards each
 // publish a copy missing the other's write. Unwritten slots keep their view
-// objects, and with them their cached folds.
+// objects.
 func (s *Sharded) publishShard(t int) {
 	cur := s.set.Load()
 	if cur == nil {
@@ -203,11 +192,16 @@ func (v *ShardedView) Name() string { return v.parent.name }
 // within each — the same fully deterministic order as Sharded.Users, but
 // with no lock held for the duration of the stream: fn may be arbitrarily
 // slow, or even call back into the parent Sharded, without stalling ingest.
-// The expensive part — each shard's cross-generation window fold — is
-// pre-warmed on the worker pool first; only the ordered streaming of fn
-// stays on this goroutine.
+// The expensive part — each shard's cross-generation window fold — runs on
+// the worker pool first; only the ordered streaming of fn stays on this
+// goroutine.
 func (v *ShardedView) Users(fn func(user uint64, estimate float64)) {
-	v.prepareFolds()
+	if folds := v.windowFolds(); folds != nil {
+		for _, t := range folds {
+			t.SortedRange(fn)
+		}
+		return
+	}
 	for _, e := range v.views {
 		e.Users(fn)
 	}
@@ -215,9 +209,14 @@ func (v *ShardedView) Users(fn func(user uint64, estimate float64)) {
 
 // RangeUsers implements UserRanger: the unordered allocation-free
 // counterpart of Users, same exactly-once fan-out and the same parallel
-// fold pre-warm (fn itself is still called serially).
+// fold (fn itself is still called serially).
 func (v *ShardedView) RangeUsers(fn func(user uint64, estimate float64)) {
-	v.prepareFolds()
+	if folds := v.windowFolds(); folds != nil {
+		for _, t := range folds {
+			t.Range(fn)
+		}
+		return
+	}
 	for _, e := range v.views {
 		e.RangeUsers(fn)
 	}
@@ -238,22 +237,17 @@ func (v *ShardedView) NumUsers() int {
 	return total
 }
 
-// TotalDistinctMerged merges the shard sketches into one union sketch and
-// returns its array-derived total — the low-variance reading
-// TotalDistinctMerged on the Sharded serves. A published view holds no
-// array words, so the first call merges a FullSnapshot cut of the parent
-// taken then: at least as fresh as the view, it may include writes that
-// landed after the view was published. The result is cached on the view:
-// as long as no shard is written, repeated calls pay one cut and one merge
-// in total. Taking the cut holds every shard lock briefly, so the call must
-// not run under them (a WithOnRetire hook).
-// Identically built shards (shared seed) are required, and windowed shards
-// must sit at one epoch; otherwise the merge reports ErrIncompatible.
+// TotalDistinctMerged returns the parent's Sharded.TotalDistinctMerged: the
+// shard sketches merged into one union sketch and its array-derived,
+// low-variance total. A published view holds no array words, so each call
+// merges a FullSnapshot cut of the parent taken then: at least as fresh as
+// the view, it may include writes that landed after the view was
+// published. Taking the cut holds every shard lock briefly, so the call
+// must not run under them (a WithOnRetire hook). Identically built shards
+// (shared seed) are required, and windowed shards must sit at one epoch;
+// otherwise the merge reports ErrIncompatible.
 func (v *ShardedView) TotalDistinctMerged() (float64, error) {
-	v.mergedOnce.Do(func() {
-		v.merged, v.mergedErr = mergedTotal(v.parent.FullSnapshot().views)
-	})
-	return v.merged, v.mergedErr
+	return v.parent.TotalDistinctMerged()
 }
 
 // mergedTotal clones the first of a full cut's shard forks, merges the rest

@@ -1,15 +1,15 @@
 package streamcard
 
 // Tests for the snapshot-isolated read path: frozen-view semantics,
-// published-view reuse (the merged-total cache rides on it), and the
-// rotation torture test — queries hammering a sharded windowed stack
-// concurrently with ingestion and epoch rotation must always observe ONE
-// consistent epoch, never a torn pre/post-rotation mix. Run with -race in
-// CI: the same test then doubles as the data-race detector for the whole
-// copy-on-write publication machinery.
+// published-view reuse, and the rotation torture test — queries hammering
+// a sharded windowed stack concurrently with ingestion and epoch rotation
+// must always observe ONE consistent epoch, never a torn pre/post-rotation
+// mix. Run with -race in CI: the same test then doubles as the data-race
+// detector for the whole copy-on-write publication machinery.
 
 import (
 	"errors"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -192,6 +192,14 @@ func TestShardedSnapshotFrozen(t *testing.T) {
 	}
 	// Rotation isolation: rotating k=2 twice discards all pre-rotation
 	// generations from fresh views; the old view keeps serving its epoch.
+	// Its analytics reads fold again on every call, from the generations
+	// it froze, so they must not move when the live stack retires them.
+	sortedUsers := func() []Spreader {
+		var out []Spreader
+		v2.Users(func(u uint64, e float64) { out = append(out, Spreader{User: u, Estimate: e}) })
+		return out
+	}
+	top2, n2, sorted2 := v2.TopK(20), v2.NumUsers(), sortedUsers()
 	s.Rotate()
 	s.Rotate()
 	if v2.NumUsers() <= users1 {
@@ -200,12 +208,20 @@ func TestShardedSnapshotFrozen(t *testing.T) {
 	if got := s.Snapshot().Epoch(); got != 2 {
 		t.Fatalf("fresh view at epoch %d, want 2", got)
 	}
+	if got := v2.TopK(20); !reflect.DeepEqual(got, top2) {
+		t.Fatalf("frozen view's top-k moved across rotations:\ngot  %v\nwant %v", got, top2)
+	}
+	if got := v2.NumUsers(); got != n2 {
+		t.Fatalf("frozen view's user count moved across rotations: %d, want %d", got, n2)
+	}
+	if got := sortedUsers(); !reflect.DeepEqual(got, sorted2) {
+		t.Fatal("frozen view's sorted Users sequence moved across rotations")
+	}
 }
 
 // TestShardedSnapshotPublished: while nothing is written, Snapshot returns
-// the SAME published view — which is what makes the per-view merged-total
-// cache effective — and the merged total from a view equals the one the
-// locked aggregation used to compute.
+// the SAME published view, and the merged total read through a view equals
+// the one Sharded.TotalDistinctMerged computes.
 func TestShardedSnapshotPublished(t *testing.T) {
 	s := tortureStack(4, 3)
 	rng := hashing.NewRNG(2)

@@ -67,20 +67,12 @@ type Windowed struct {
 	// mutation clears it under mu, so a non-nil pub always freezes the
 	// current state, and Snapshot serves it with one atomic load.
 	pub atomic.Pointer[Windowed]
-
-	// foldOnce/fold cache userSums on a view: computed at most once per
-	// view and served to every later analytics read of that view. The next
-	// write makes the next Snapshot a new view, so invalidation is
-	// automatic — the same pattern as ShardedView's cached merged union.
-	foldOnce sync.Once
-	fold     *usertab.Table
 }
 
 type windowedConfig struct {
 	k          int
 	everyEdges uint64 // WithRotateEveryEdges; 0 rotates only on Rotate
 	onRetire   func(Estimator)
-	foldStats  *FoldStats
 }
 
 // WindowedOption configures NewWindowed.
@@ -114,14 +106,6 @@ func WithRotateEveryEdges(n uint64) WindowedOption {
 // inherit the hook.
 func WithOnRetire(fn func(retired Estimator)) WindowedOption {
 	return func(c *windowedConfig) { c.onRetire = fn }
-}
-
-// WithFoldStats scopes the window's fold-cache counters to st, so a serving
-// stack can export its own compute/hit counts (the server wires one per
-// process into /metrics). Snapshots and clones inherit the same collector.
-// Windows built without this option count nothing.
-func WithFoldStats(st *FoldStats) WindowedOption {
-	return func(c *windowedConfig) { c.foldStats = st }
 }
 
 // NewWindowed returns a windowed wrapper; build must return a fresh FreeBS
@@ -181,11 +165,12 @@ func NewWindowed(build func() Estimator, opts ...WindowedOption) *Windowed {
 // the current generation's per-user table, never of its array.
 //
 // The view is cached: while nothing writes the window, repeated calls
-// return the same view via one atomic load, which keeps its fold cache
-// warm. Every write, rotation and restore clears the cache under the
-// window lock, so a view taken after a write always reflects every
-// Observe, ObserveBatch and Rotate that completed before the call — the
-// read-your-writes contract the serving layer's ?wait=1 relies on.
+// return the same view via one atomic load. The view itself caches
+// nothing: each analytics read folds its frozen generations again. Every
+// write, rotation and restore clears the cache under the window lock, so
+// a view taken after a write always reflects every Observe, ObserveBatch
+// and Rotate that completed before the call — the read-your-writes
+// contract the serving layer's ?wait=1 relies on.
 //
 // On a standalone Windowed the view after a write is built by whichever
 // reader calls Snapshot first (a brief window-lock hold); per-edge ingest
@@ -236,7 +221,7 @@ func (w *Windowed) freezeLocked(fork func(layer) layer) *Windowed {
 }
 
 // mustBeLive panics when w is a view: a view's generations are shared with
-// its readers and its fold cache, so it refuses every mutation.
+// its readers, so it refuses every mutation.
 func (w *Windowed) mustBeLive(op string) {
 	if w.frozen {
 		panic(fmt.Sprintf("streamcard: %s on a read-only %s snapshot view; call it on the live Windowed", op, w.name))
@@ -437,45 +422,15 @@ func (w *Windowed) UserEntries() int {
 	return total
 }
 
-// userSums returns a view's merged per-user estimate table — only views
-// reach it, since Users/RangeUsers/NumUsers read through Snapshot. The fold
-// is computed at most once and cached for the view's lifetime: repeated
-// analytics queries within one publication epoch re-fold nothing, and the
-// next write makes the next Snapshot a new view, so invalidation is
-// automatic.
-func (w *Windowed) userSums() *usertab.Table {
-	hit := true
-	w.foldOnce.Do(func() {
-		w.runFold()
-		hit = false
-	})
-	if st := w.cfg.foldStats; hit && st != nil {
-		st.hits.Add(1)
-	}
-	return w.fold
-}
-
-// warmFold populates a view's fold cache if it is still cold, counting a
-// compute but never a hit — the shard-concurrent fan-out uses it to move
-// fold work onto pool goroutines; the query that follows does the counted
-// read.
-func (w *Windowed) warmFold() { w.foldOnce.Do(w.runFold) }
-
-// runFold executes the fold under foldOnce.
-func (w *Windowed) runFold() {
-	w.fold = w.computeUserSums()
-	if st := w.cfg.foldStats; st != nil {
-		st.computes.Add(1)
-	}
-}
-
-// computeUserSums folds a view's generations' per-user estimates into one
-// flat table, generation order outermost — the same summation order Estimate
+// userSums folds a view's generations' per-user estimates into one flat
+// table, generation order outermost — the same summation order Estimate
 // uses for a single user, so the folded value matches Estimate bit for bit.
-// The fold reads each generation through its unordered allocation-free
-// iterator; only the result table is allocated, pre-sized to the entry
-// upper bound (UserEntries) so the fold never rehashes.
-func (w *Windowed) computeUserSums() *usertab.Table {
+// Only views reach it, since Users/RangeUsers/NumUsers read through
+// Snapshot, and every call folds afresh. The fold reads each generation
+// through its unordered allocation-free iterator; only the result table is
+// allocated, pre-sized to the entry upper bound (UserEntries) so the fold
+// never rehashes.
+func (w *Windowed) userSums() *usertab.Table {
 	merged := usertab.NewWithCapacity(w.UserEntries())
 	for _, g := range w.gens {
 		g.RangeUsers(func(u uint64, e float64) { merged.Add(u, e) })
@@ -514,10 +469,9 @@ func (w *Windowed) Merge(other *Windowed) error {
 // Windowed with an equal generation count, at the same epoch, over
 // generations built with identical parameters (ErrIncompatible otherwise).
 // Unlike Merge it is not failure-atomic, so callers fold into a private
-// clone — Merge installs the clone on success, and
-// ShardedView.TotalDistinctMerged folds every shard into one accumulator
-// without paying a clone per fold. other must be quiescent (a frozen
-// full-cut view).
+// clone — Merge installs the clone on success, and mergedTotal folds
+// every shard into one accumulator without paying a clone per fold. other
+// must be quiescent (a frozen full-cut view).
 func (w *Windowed) merge(other layer) error {
 	o, ok := other.(*Windowed)
 	if !ok {

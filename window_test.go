@@ -429,7 +429,7 @@ func TestWindowedPanics(t *testing.T) {
 // TestWindowedViewRefusesMutation: a view is immutable. Every mutator
 // panics with a message naming the view, on the estimates-only published
 // view and on a full cut alike, and the view still answers as before; a
-// mutated view would move its readers' and its fold cache's ring.
+// mutated view would move its readers' ring.
 func TestWindowedViewRefusesMutation(t *testing.T) {
 	build := func() Estimator { return NewFreeRS(1<<14, WithSeed(3)) }
 	w := NewWindowed(build, WithGenerations(3), WithRotateEveryEdges(1))
