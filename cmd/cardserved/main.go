@@ -61,55 +61,34 @@ func main() {
 // fails); factored from main so tests can drive the full lifecycle.
 func run(args []string, out io.Writer, sig <-chan os.Signal) error {
 	fs := flag.NewFlagSet("cardserved", flag.ContinueOnError)
+	// The config flags default to server.Defaults(), so -h shows exactly
+	// what New would use.
+	cfg := server.Defaults()
+	fs.StringVar(&cfg.Method, "method", cfg.Method, "estimator: freers|freebs")
+	fs.IntVar(&cfg.MemoryBits, "mbits", cfg.MemoryBits, "total sketch memory in bits (split across shards, spent once per generation)")
+	fs.IntVar(&cfg.Shards, "shards", cfg.Shards, "independently locked shards")
+	fs.IntVar(&cfg.Generations, "gens", cfg.Generations, "live window generations k (queries cover k-1..k epochs)")
+	fs.Uint64Var(&cfg.Seed, "seed", cfg.Seed, "hash seed shared across shards (enables merged /total)")
+	fs.DurationVar(&cfg.Epoch, "epoch", cfg.Epoch, "wall-clock epoch length (0 = rotate only via POST /rotate)")
+	fs.DurationVar(&cfg.CheckpointEvery, "checkpoint-every", cfg.CheckpointEvery, "periodic checkpoint interval (0 = only on shutdown)")
+	fs.StringVar(&cfg.SpoolDir, "spool", cfg.SpoolDir, "checkpoint spool directory (empty = no persistence)")
+	fs.StringVar(&cfg.WALDir, "wal-dir", cfg.WALDir, "write-ahead log directory (empty = no WAL); with a WAL, every acked batch survives kill -9 and a restart replays the log tail on top of the newest checkpoint")
+	fs.StringVar(&cfg.WALSync, "wal-sync", cfg.WALSync, "WAL fsync policy: always|interval|never (power-loss durability; process crashes are covered under all three)")
+	fs.DurationVar(&cfg.WALFlushInterval, "wal-flush-interval", cfg.WALFlushInterval, "WAL group-commit fsync cadence for -wal-sync interval")
+	fs.Int64Var(&cfg.WALSegmentBytes, "wal-segment-bytes", cfg.WALSegmentBytes, "WAL segment file size bound (checkpoints delete fully-covered segments whole)")
+	fs.IntVar(&cfg.Retain, "retain", cfg.Retain, "checkpoint history files kept in the spool (newest N; current.ckpt is always the newest)")
+	fs.IntVar(&cfg.QueueDepth, "queue", cfg.QueueDepth, "per-shard executor queue depth (full queue = backpressure)")
+	fs.Int64Var(&cfg.MaxBodyBytes, "max-body", cfg.MaxBodyBytes, "max ingest request body bytes")
 	var (
 		addr     = fs.String("addr", ":8080", "listen address")
 		tcpAddr  = fs.String("tcp-addr", "", "CWT1 persistent TCP ingest listen address (empty = disabled); long-lived connections carrying pipelined CWB1 frames with per-frame acks")
-		method   = fs.String("method", "freers", "estimator: freers|freebs")
-		mbits    = fs.Int("mbits", 1<<26, "total sketch memory in bits (split across shards, spent once per generation)")
-		shards   = fs.Int("shards", 4, "independently locked shards")
-		gens     = fs.Int("gens", 4, "live window generations k (queries cover k-1..k epochs)")
-		seed     = fs.Uint64("seed", 1, "hash seed shared across shards (enables merged /total)")
-		epoch    = fs.Duration("epoch", 0, "wall-clock epoch length (0 = rotate only via POST /rotate)")
-		ckEvery  = fs.Duration("checkpoint-every", 0, "periodic checkpoint interval (0 = only on shutdown)")
-		spool    = fs.String("spool", "", "checkpoint spool directory (empty = no persistence)")
-		walDir   = fs.String("wal-dir", "", "write-ahead log directory (empty = no WAL); with a WAL, every acked batch survives kill -9 and a restart replays the log tail on top of the newest checkpoint")
-		walSync  = fs.String("wal-sync", "interval", "WAL fsync policy: always|interval|never (power-loss durability; process crashes are covered under all three)")
-		walFlush = fs.Duration("wal-flush-interval", 50*time.Millisecond, "WAL group-commit fsync cadence for -wal-sync interval")
-		walSeg   = fs.Int64("wal-segment-bytes", 64<<20, "WAL segment file size bound (checkpoints delete fully-covered segments whole)")
-		retain   = fs.Int("retain", 3, "checkpoint history files kept in the spool (newest N; current.ckpt is always the newest)")
-		queue    = fs.Int("queue", 64, "per-shard executor queue depth (full queue = backpressure)")
-		maxBody  = fs.Int64("max-body", 8<<20, "max ingest request body bytes")
 		drainFor = fs.Duration("drain", 10*time.Second, "shutdown grace for in-flight HTTP requests")
 		writeTO  = fs.Duration("write-timeout", 2*time.Minute, "per-response write deadline (0 = none); connection hygiene: a streaming endpoint like /users reads a published snapshot and holds no sketch lock, but a stalled reader pins its handler goroutine and that snapshot until the deadline")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	// The flag's "0 = none" convention maps to the Config's "negative =
-	// disabled" (a zero Config field means the default, like every other
-	// field there).
-	streamTO := *writeTO
-	if streamTO == 0 {
-		streamTO = -1
-	}
-	s, err := server.New(server.Config{
-		Method:             *method,
-		MemoryBits:         *mbits,
-		Shards:             *shards,
-		Generations:        *gens,
-		Seed:               *seed,
-		Epoch:              *epoch,
-		CheckpointEvery:    *ckEvery,
-		SpoolDir:           *spool,
-		WALDir:             *walDir,
-		WALSync:            *walSync,
-		WALFlushInterval:   *walFlush,
-		WALSegmentBytes:    *walSeg,
-		Retain:             *retain,
-		QueueDepth:         *queue,
-		MaxBodyBytes:       *maxBody,
-		StreamWriteTimeout: streamTO,
-	})
+	s, err := server.New(cfg)
 	if err != nil {
 		return err
 	}
@@ -122,10 +101,8 @@ func run(args []string, out io.Writer, sig <-chan os.Signal) error {
 	// The write deadline is connection hygiene: /users streams from a
 	// published snapshot and holds no sketch lock, but a client that stops
 	// reading would still pin the handler goroutine and the snapshot's
-	// copy-on-write arrays until its connection dies. The streaming handler
-	// arms its own deadline from Config.StreamWriteTimeout (plumbed from
-	// the same flag above); the server-level WriteTimeout backstops every
-	// other endpoint.
+	// copy-on-write arrays until its connection dies. WriteTimeout is the
+	// only write deadline, /users included; 0 means none.
 	httpSrv := &http.Server{Handler: s.Handler(), WriteTimeout: *writeTO}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.Serve(ln) }()
@@ -146,14 +123,14 @@ func run(args []string, out io.Writer, sig <-chan os.Signal) error {
 		fmt.Fprintf(out, "cardserved: tcp ingest on %s\n", tcpLn.Addr())
 	}
 	if s.Restored() {
-		fmt.Fprintf(out, "cardserved: restored checkpoint from %s (epoch=%d)\n", *spool, s.Epoch())
+		fmt.Fprintf(out, "cardserved: restored checkpoint from %s (epoch=%d)\n", cfg.SpoolDir, s.Epoch())
 	}
 	if recs, edges := s.WALReplayed(); recs > 0 {
 		fmt.Fprintf(out, "cardserved: replayed %d WAL records (%d edges) from %s (epoch=%d)\n",
-			recs, edges, *walDir, s.Epoch())
+			recs, edges, cfg.WALDir, s.Epoch())
 	}
 	fmt.Fprintf(out, "cardserved: listening on %s (method=%s mbits=%d shards=%d gens=%d epoch=%v spool=%q wal=%q)\n",
-		ln.Addr(), *method, *mbits, *shards, *gens, *epoch, *spool, *walDir)
+		ln.Addr(), cfg.Method, cfg.MemoryBits, cfg.Shards, cfg.Generations, cfg.Epoch, cfg.SpoolDir, cfg.WALDir)
 
 	select {
 	case got := <-sig:

@@ -36,11 +36,11 @@ const (
 	windowMagic       = "WIN1"
 )
 
-// maxWindowGenerations bounds the generation count a window checkpoint may
+// MaxWindowGenerations bounds the generation count a window checkpoint may
 // declare; anything larger is a corrupt or hostile payload, not a plausible
 // ring (a generation is a whole sketch — thousands of them would dwarf any
-// real deployment).
-const maxWindowGenerations = 1 << 16
+// real deployment). A window with more generations cannot be checkpointed.
+const MaxWindowGenerations = 1 << 16
 
 // RestoreFreeBS decodes a MarshalBinary payload directly into a fresh
 // FreeBS — the restore path for checkpoints, which unlike UnmarshalBinary on
@@ -165,8 +165,8 @@ func windowLive(k int, epoch uint64) uint64 {
 // as uint64, then each generation newest-first as a uvarint length prefix
 // plus its payload.
 func MarshalWindow(k int, epoch, edges uint64, gens [][]byte) ([]byte, error) {
-	if k < 2 || k > maxWindowGenerations {
-		return nil, fmt.Errorf("core: window generation count %d out of range [2, %d]", k, maxWindowGenerations)
+	if k < 2 || k > MaxWindowGenerations {
+		return nil, fmt.Errorf("core: window generation count %d out of range [2, %d]", k, MaxWindowGenerations)
 	}
 	if uint64(len(gens)) != windowLive(k, epoch) {
 		return nil, fmt.Errorf("core: %d live generations inconsistent with epoch %d of a %d-generation window",
@@ -203,8 +203,8 @@ func UnmarshalWindow(data []byte) (k int, epoch, edges uint64, gens [][]byte, er
 	epoch = binary.LittleEndian.Uint64(body[4:])
 	edges = binary.LittleEndian.Uint64(body[12:])
 	body = body[20:]
-	if k < 2 || k > maxWindowGenerations {
-		return 0, 0, 0, nil, fmt.Errorf("core: window generation count %d out of range [2, %d]", k, maxWindowGenerations)
+	if k < 2 || k > MaxWindowGenerations {
+		return 0, 0, 0, nil, fmt.Errorf("core: window generation count %d out of range [2, %d]", k, MaxWindowGenerations)
 	}
 	live := windowLive(k, epoch)
 	gens = make([][]byte, 0, live)

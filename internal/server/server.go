@@ -86,7 +86,6 @@ package server
 
 import (
 	"bufio"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -101,6 +100,7 @@ import (
 	"time"
 
 	streamcard "repro"
+	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/stream"
 	"repro/internal/wal"
@@ -168,15 +168,14 @@ type Config struct {
 	QueueDepth int
 	// MaxBodyBytes bounds one ingest request body. Default 8 MiB.
 	MaxBodyBytes int64
-	// StreamWriteTimeout bounds how long a streaming response (/users) may
-	// spend writing to one client. The stream reads from a published
-	// snapshot, so a stalled client holds NO sketch lock — the deadline is
-	// connection hygiene: it bounds how long a dead connection can pin the
-	// handler goroutine and the snapshot's copy-on-write arrays. Enforced
-	// in the handler itself (via the response write deadline), so embedders
-	// of Handler() are covered without configuring their http.Server.
-	// Default 2m; negative disables.
-	StreamWriteTimeout time.Duration
+}
+
+// Defaults returns the zero Config with every default filled in, exactly as
+// New fills it.
+func Defaults() Config {
+	var c Config
+	_ = c.fillDefaults() // the zero Config is valid
+	return c
 }
 
 func (c *Config) fillDefaults() error {
@@ -204,8 +203,10 @@ func (c *Config) fillDefaults() error {
 	if c.Generations == 0 {
 		c.Generations = 4
 	}
-	if c.Generations < 2 {
-		return fmt.Errorf("server: need at least 2 generations, got %d", c.Generations)
+	if c.Generations < 2 || c.Generations > core.MaxWindowGenerations {
+		// Above the bound the service would run, but no checkpoint of it
+		// could ever be written.
+		return fmt.Errorf("server: generations %d out of range [2, %d]", c.Generations, core.MaxWindowGenerations)
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
@@ -219,6 +220,9 @@ func (c *Config) fillDefaults() error {
 	if c.QueueDepth < 0 || c.MaxBodyBytes < 0 {
 		// A negative queue panics make(chan).
 		return errors.New("server: QueueDepth and MaxBodyBytes must be positive")
+	}
+	if c.WALSync == "" {
+		c.WALSync = "interval"
 	}
 	if _, err := wal.ParsePolicy(c.WALSync); err != nil {
 		return fmt.Errorf("server: %w", err)
@@ -241,9 +245,6 @@ func (c *Config) fillDefaults() error {
 	if c.Retain < 1 {
 		return fmt.Errorf("server: Retain must keep at least 1 checkpoint, got %d", c.Retain)
 	}
-	if c.StreamWriteTimeout == 0 {
-		c.StreamWriteTimeout = 2 * time.Minute
-	}
 	return nil
 }
 
@@ -257,12 +258,6 @@ type ingestBatch struct {
 	edges     int
 	remaining atomic.Int32  // shard sub-batches not yet absorbed
 	done      chan struct{} // non-nil for ?wait=1 requests
-	// onAbsorbed, when non-nil, runs once the whole batch is absorbed (after
-	// the partition buffers are released). The TCP path hangs its pooled read
-	// buffer's return on it: with one shard the partition ALIASES the decoded
-	// frame instead of copying it, so the frame's backing buffer must stay
-	// untouched until the executor is done with it.
-	onAbsorbed func()
 }
 
 // shardItem is one shard-pure sub-batch queued for a shard executor.
@@ -354,8 +349,7 @@ type Server struct {
 	mux *http.ServeMux
 
 	// tcp is the CWT1 persistent-transport listener state (tcp.go): the
-	// connection/listener registry Close tears down, and the pooled frame
-	// read buffers.
+	// connection/listener registry Close tears down.
 	tcp tcpState
 
 	// Instruments.
@@ -483,12 +477,17 @@ func New(cfg Config) (*Server, error) {
 		go s.shardExecutor(i)
 	}
 	if cfg.Epoch > 0 {
-		s.tickerWG.Add(1)
-		go s.rotateLoop()
+		s.every(cfg.Epoch, s.rotate)
 	}
 	if cfg.SpoolDir != "" && cfg.CheckpointEvery > 0 {
-		s.tickerWG.Add(1)
-		go s.checkpointLoop()
+		s.every(cfg.CheckpointEvery, func() {
+			if err := s.Checkpoint(); err != nil {
+				// A failed periodic checkpoint must not kill the service;
+				// the next interval (and shutdown) will retry. Checkpoint
+				// has already counted the failure.
+				fmt.Fprintf(os.Stderr, "cardserved: checkpoint: %v\n", err)
+			}
+		})
 	}
 	return s, nil
 }
@@ -654,9 +653,6 @@ func (s *Server) finishShardItem(b *ingestBatch) {
 	s.edgesIngested.Add(uint64(b.edges))
 	s.batches.Inc()
 	b.part.Release()
-	if b.onAbsorbed != nil {
-		b.onAbsorbed()
-	}
 	if b.done != nil {
 		close(b.done)
 	}
@@ -688,7 +684,7 @@ func (s *Server) finishShardItem(b *ingestBatch) {
 // every later batch is refused too: the service never acks what the log
 // lost. With the WAL disabled this path is untouched — one nil check.
 func (s *Server) submit(edges []stream.Edge, wait bool) error {
-	b, walSeq, err := s.submitAsync(edges, wait, nil, nil)
+	b, walSeq, err := s.submitAsync(edges, wait, nil)
 	if err != nil || b == nil {
 		return err
 	}
@@ -719,19 +715,20 @@ func (s *Server) submit(edges []stream.Edge, wait bool) error {
 // writing each ack — so under WALSync "always" the fsync latency overlaps
 // with reading (and appending) later frames instead of serializing ingest.
 //
-// onAbsorbed, when non-nil, is attached to the batch and runs after full
-// absorption (see ingestBatch). stalls, when non-nil, counts queue sends
-// that found the shard queue full — the backpressure signal. On error
-// nothing is queued and onAbsorbed will never run (the caller keeps
-// ownership of the decode buffer); a nil batch with nil error means the
-// batch was empty — absorbed trivially, onAbsorbed already called.
-func (s *Server) submitAsync(edges []stream.Edge, wait bool, onAbsorbed func(), stalls *metrics.Counter) (*ingestBatch, uint64, error) {
+// edges is the caller's again once submitAsync returns, whatever the
+// outcome: Split copies the batch into the partition's own buffer and the
+// WAL append encodes it before the return, so the TCP reader reads its
+// next frame into the same buffer. stalls, when non-nil, counts queue
+// sends that found the shard queue full — the backpressure signal. On
+// error nothing is queued; a nil batch with nil error means the batch was
+// empty.
+func (s *Server) submitAsync(edges []stream.Edge, wait bool, stalls *metrics.Counter) (*ingestBatch, uint64, error) {
 	s.gate.RLock()
 	if s.closed {
 		s.gate.RUnlock()
 		return nil, 0, ErrClosed
 	}
-	b := &ingestBatch{part: s.part.Split(edges), edges: len(edges), onAbsorbed: onAbsorbed}
+	b := &ingestBatch{part: s.part.Split(edges), edges: len(edges)}
 	touched := 0
 	for t := 0; t < s.cfg.Shards; t++ {
 		if len(b.part.Shard(t)) > 0 {
@@ -741,9 +738,6 @@ func (s *Server) submitAsync(edges []stream.Edge, wait bool, onAbsorbed func(), 
 	if touched == 0 {
 		b.part.Release()
 		s.gate.RUnlock()
-		if onAbsorbed != nil {
-			onAbsorbed()
-		}
 		return nil, 0, nil
 	}
 	if wait {
@@ -811,18 +805,22 @@ func (s *Server) Drain() {
 	s.pendMu.Unlock()
 }
 
-func (s *Server) rotateLoop() {
-	defer s.tickerWG.Done()
-	t := time.NewTicker(s.cfg.Epoch)
-	defer t.Stop()
-	for {
-		select {
-		case <-t.C:
-			s.rotate()
-		case <-s.stopTicker:
-			return
+// every runs fn every d on its own goroutine until Close stops the tickers.
+func (s *Server) every(d time.Duration, fn func()) {
+	s.tickerWG.Add(1)
+	go func() {
+		defer s.tickerWG.Done()
+		t := time.NewTicker(d)
+		defer t.Stop()
+		for {
+			select {
+			case <-t.C:
+				fn()
+			case <-s.stopTicker:
+				return
+			}
 		}
-	}
+	}()
 }
 
 // rotate advances every shard one epoch behind a whole-pipeline quiesce
@@ -860,25 +858,6 @@ func (s *Server) rotate() {
 	s.sh.Rotate()
 	s.gate.Unlock()
 	s.rotations.Inc()
-}
-
-func (s *Server) checkpointLoop() {
-	defer s.tickerWG.Done()
-	t := time.NewTicker(s.cfg.CheckpointEvery)
-	defer t.Stop()
-	for {
-		select {
-		case <-t.C:
-			if err := s.Checkpoint(); err != nil {
-				// A failed periodic checkpoint must not kill the service;
-				// the next interval (and shutdown) will retry. Checkpoint
-				// has already counted the failure.
-				fmt.Fprintf(os.Stderr, "cardserved: checkpoint: %v\n", err)
-			}
-		case <-s.stopTicker:
-			return
-		}
-	}
 }
 
 // Checkpoint freezes the full windowed state of every shard from a
@@ -985,19 +964,6 @@ func (s *Server) restore() (bool, uint64, uint64, error) {
 	return true, walSeq, epochEdges, nil
 }
 
-// walFingerprint tags WAL segments with the same configuration identity
-// the spool envelope carries, so a log written by a differently configured
-// service is refused at open instead of replaying into sketches of the
-// wrong shape.
-func (s *Server) walFingerprint() []byte {
-	fp := []byte{methodByte(s.cfg.Method)}
-	for _, v := range []uint64{uint64(s.cfg.MemoryBits), uint64(s.cfg.Shards),
-		uint64(s.cfg.Generations), s.cfg.Seed} {
-		fp = binary.AppendUvarint(fp, v)
-	}
-	return fp
-}
-
 // openWAL opens the durability log above the restored checkpoint's
 // position, registers its instruments, and replays the tail. Called from
 // New after the spool restore and before the executors start, so replay
@@ -1014,7 +980,7 @@ func (s *Server) openWAL(restoredSeq uint64) error {
 		"WAL segments deleted by checkpoint truncation.")
 	w, err := wal.Open(wal.Options{
 		Dir:           s.cfg.WALDir,
-		Fingerprint:   s.walFingerprint(),
+		Fingerprint:   s.fingerprint(),
 		StartSeq:      restoredSeq,
 		SegmentBytes:  s.cfg.WALSegmentBytes,
 		FlushInterval: s.cfg.WALFlushInterval,
@@ -1193,8 +1159,6 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if strings.TrimSpace(ct) == stream.WireContentType {
 		var buf []byte
 		if buf, err = io.ReadAll(body); err == nil {
-			// edges aliases buf on this host; buf stays reachable through
-			// the batch until the workers have absorbed it.
 			edges, err = stream.DecodeWire(buf)
 		}
 	} else {
@@ -1350,9 +1314,9 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 // "truncated" says whether a limit cut the list. The stream reads from the
 // published snapshot, so NO sketch lock is held for its duration: a
 // stalled or slow reader cannot stall ingest, rotation, or other queries
-// at all. The write deadline (Config.StreamWriteTimeout) remains as
-// connection hygiene — it bounds how long a dead client can pin the
-// snapshot (and its copy-on-write arrays) and the handler goroutine.
+// at all. How long a dead client may pin the snapshot (and its
+// copy-on-write arrays) and the handler goroutine is the serving
+// http.Server's WriteTimeout (cardserved's -write-timeout).
 // limit=0 is the pure count query and skips the sorted enumeration
 // entirely.
 func (s *Server) handleUsers(w http.ResponseWriter, r *http.Request) {
@@ -1373,17 +1337,6 @@ func (s *Server) handleUsers(w http.ResponseWriter, r *http.Request) {
 			"users": []any{}, "count": n, "truncated": n > 0,
 		})
 		return
-	}
-	if s.cfg.StreamWriteTimeout > 0 {
-		// Best effort: ResponseController covers net/http servers; exotic
-		// ResponseWriters that cannot set a deadline just stay unbounded,
-		// as before. The deadline is cleared on the way out — it is set on
-		// the CONNECTION, and with an http.Server whose WriteTimeout is 0
-		// nothing would re-arm it, so a later response on the same
-		// keep-alive connection would spuriously fail once it passed.
-		rc := http.NewResponseController(w)
-		_ = rc.SetWriteDeadline(time.Now().Add(s.cfg.StreamWriteTimeout))
-		defer func() { _ = rc.SetWriteDeadline(time.Time{}) }()
 	}
 	w.Header().Set("Content-Type", "application/json")
 	bw := bufio.NewWriterSize(w, 64<<10)

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/exact"
 	"repro/internal/hashing"
 	"repro/internal/stream"
@@ -286,6 +287,9 @@ func TestServerRejectsBadConfig(t *testing.T) {
 		"gens":   {Generations: 1},
 		"queue":  {QueueDepth: -1},
 		"body":   {MaxBodyBytes: -1},
+		// More generations than a window checkpoint can hold: the service
+		// would run, but every checkpoint, the final one included, would fail.
+		"gens above the checkpoint bound": {Generations: core.MaxWindowGenerations + 1},
 	} {
 		if _, err := New(cfg); err == nil {
 			t.Fatalf("bad %s accepted", name)

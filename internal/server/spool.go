@@ -13,8 +13,8 @@ package server
 // Layout (all integers uvarint unless noted):
 //
 //	magic "CSP2"
-//	method byte ('R' FreeRS, 'B' FreeBS)
-//	memoryBits, shards, generations, seed
+//	fingerprint: method byte ('R' FreeRS, 'B' FreeBS),
+//	             memoryBits, shards, generations, seed
 //	walSeq, epochEdges
 //	per shard: payload length, payload
 //	crc32-IEEE of everything before it (4 bytes big-endian)
@@ -79,6 +79,19 @@ func methodByte(method string) byte {
 	return 'R'
 }
 
+// fingerprint encodes the service identity: the spool header opens with
+// it, and every WAL segment carries it, so a checkpoint or log written by a
+// differently configured service is refused instead of restored into
+// sketches of the wrong shape.
+func (s *Server) fingerprint() []byte {
+	fp := []byte{methodByte(s.cfg.Method)}
+	for _, v := range []uint64{uint64(s.cfg.MemoryBits), uint64(s.cfg.Shards),
+		uint64(s.cfg.Generations), s.cfg.Seed} {
+		fp = binary.AppendUvarint(fp, v)
+	}
+	return fp
+}
+
 // marshalSpool serializes the full service state from a full cut
 // (Sharded.FullSnapshot): an epoch-consistent frozen cut that keeps the
 // array words, so no sketch lock is needed while the (potentially large)
@@ -90,13 +103,9 @@ func methodByte(method string) byte {
 func (s *Server) marshalSpool(view *streamcard.ShardedView, walSeq, epochEdges uint64) ([]byte, error) {
 	var buf bytes.Buffer
 	buf.WriteString(spoolMagic)
-	buf.WriteByte(methodByte(s.cfg.Method))
+	buf.Write(s.fingerprint())
 	var tmp [binary.MaxVarintLen64]byte
 	putUvarint := func(v uint64) { buf.Write(tmp[:binary.PutUvarint(tmp[:], v)]) }
-	putUvarint(uint64(s.cfg.MemoryBits))
-	putUvarint(uint64(s.cfg.Shards))
-	putUvarint(uint64(s.cfg.Generations))
-	putUvarint(s.cfg.Seed)
 	putUvarint(walSeq)
 	putUvarint(epochEdges)
 	for i := 0; i < view.NumShards(); i++ {

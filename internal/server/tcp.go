@@ -8,12 +8,14 @@ package server
 // three. A connection is a long-lived stream of sequenced CWB1 frames; the
 // server runs two goroutines per connection:
 //
-//   - The READER loop: scan one frame (into a pooled buffer), decode it
-//     zero-copy (stream.DecodeWire aliases the buffer), submitAsync it into
-//     the same partition→shard-executor pipeline HTTP uses — under the same
-//     ingest gate, so rotation/Drain/Close quiesce semantics are identical —
-//     and hand the (seq, walSeq) pair to the acker. The reader never waits
-//     for fsync or absorption, so frames pipeline.
+//   - The READER loop: scan one frame into the connection's one reused
+//     buffer, decode it zero-copy (stream.DecodeWire aliases the buffer),
+//     submitAsync it into the same partition→shard-executor pipeline HTTP
+//     uses — under the same ingest gate, so rotation/Drain/Close quiesce
+//     semantics are identical — and hand the (seq, walSeq) pair to the
+//     acker. submitAsync copies and logs the batch before it returns, so
+//     the next frame may overwrite the buffer at once. The reader never
+//     waits for fsync or absorption, so frames pipeline.
 //   - The ACKER loop: for each accepted frame, wal.Commit(walSeq) — the
 //     group-committed durability barrier, off the read path — then write the
 //     compact 12-byte ack. Ack order is frame order (one FIFO channel), so
@@ -25,12 +27,6 @@ package server
 // the reader, which stops draining the socket, which fills the client's
 // send window — flow control all the way back to the producer, with nothing
 // buffered unboundedly in between. The stall counter makes it observable.
-//
-// Buffer life cycle: frame buffers come from a sync.Pool. With one shard
-// the partitioner ALIASES the decoded frame rather than copying, so a
-// buffer returns to the pool only via the batch's onAbsorbed hook — after
-// the executor is completely done with it. Rejected or empty frames return
-// their buffer immediately.
 
 import (
 	"bufio"
@@ -48,7 +44,7 @@ import (
 )
 
 // tcpState is the Server's CWT1 listener state: the registry Close tears
-// down, plus the shared frame-buffer pool.
+// down.
 type tcpState struct {
 	mu      sync.Mutex
 	lns     map[net.Listener]struct{}
@@ -56,7 +52,6 @@ type tcpState struct {
 	closing bool
 	wg      sync.WaitGroup
 	active  atomic.Int64
-	bufPool sync.Pool // *[]byte frame read buffers
 }
 
 // tcpAck is one pending ack, reader → acker, in frame order.
@@ -152,14 +147,6 @@ func (cr *countingReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-func (s *Server) getFrameBuf() *[]byte {
-	if b, ok := s.tcp.bufPool.Get().(*[]byte); ok {
-		return b
-	}
-	b := make([]byte, 0, 64<<10)
-	return &b
-}
-
 // serveTCPConn runs one connection's reader loop (and spawns its acker).
 func (s *Server) serveTCPConn(conn net.Conn) {
 	s.tcpConnsTotal.Inc()
@@ -191,11 +178,10 @@ func (s *Server) serveTCPConn(conn net.Conn) {
 	}()
 
 	sc := stream.NewFrameScanner(br, int(s.cfg.MaxBodyBytes))
+	buf := make([]byte, 0, 64<<10)
 	for {
-		bp := s.getFrameBuf()
-		seq, payload, err := sc.Next((*bp)[:0])
+		seq, payload, err := sc.Next(buf)
 		if err != nil {
-			s.tcp.bufPool.Put(bp)
 			if err != io.EOF {
 				// Torn or hostile stream: framing is lost, close without
 				// acking the damage (the spec's close-don't-resync rule).
@@ -203,7 +189,7 @@ func (s *Server) serveTCPConn(conn net.Conn) {
 			}
 			return
 		}
-		*bp = payload // Next may have grown the buffer; pool the new one
+		buf = payload[:0] // Next may have grown the buffer; keep the larger one
 		t0 := time.Now()
 		s.tcpFrames.Inc()
 
@@ -211,23 +197,19 @@ func (s *Server) serveTCPConn(conn net.Conn) {
 		if derr != nil {
 			// The header's CRC and length delimited this frame exactly, so a
 			// bad CWB1 payload rejects alone: ack 400, stay in sync.
-			s.tcp.bufPool.Put(bp)
 			acks <- tcpAck{seq: seq, status: stream.AckBad, t0: t0}
 			continue
 		}
 		if len(edges) == 0 {
 			// Keep-alive frame: acked, never logged (matches HTTP, where an
 			// empty batch writes no WAL record).
-			s.tcp.bufPool.Put(bp)
 			acks <- tcpAck{seq: seq, status: stream.AckOK, t0: t0}
 			continue
 		}
-		// edges aliases payload; the buffer returns to the pool only after
-		// the batch is fully absorbed. This send is where backpressure
-		// bites: a full shard queue blocks it, stalling this reader.
-		b, walSeq, serr := s.submitAsync(edges, false, func() { s.tcp.bufPool.Put(bp) }, s.tcpStalls)
+		// This send is where backpressure bites: a full shard queue blocks
+		// it, stalling this reader.
+		_, walSeq, serr := s.submitAsync(edges, false, s.tcpStalls)
 		if serr != nil {
-			s.tcp.bufPool.Put(bp)
 			if errors.Is(serr, ErrClosed) {
 				acks <- tcpAck{seq: seq, status: stream.AckShutdown, t0: t0}
 				return
@@ -237,7 +219,6 @@ func (s *Server) serveTCPConn(conn net.Conn) {
 			acks <- tcpAck{seq: seq, status: stream.AckError, t0: t0}
 			continue
 		}
-		_ = b // absorption is tracked by onAbsorbed; acks don't wait for it
 		acks <- tcpAck{seq: seq, status: stream.AckOK, walSeq: walSeq, t0: t0}
 	}
 }

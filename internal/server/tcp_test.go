@@ -9,6 +9,7 @@ package server
 
 import (
 	"bufio"
+	"fmt"
 	"io"
 	"net"
 	"net/http"
@@ -113,67 +114,75 @@ func newTCPTestServer(t *testing.T, cfg Config) *Server {
 // rotations interleaved; a twin takes the identical schedule through the
 // synchronous submit path. Every ack must be 200, and every per-user
 // estimate, the merged total, and the epoch must agree exactly — TCP is a
-// transport, not a semantic.
+// transport, not a semantic. One shard is the shape in which a partition
+// that aliased its source would read frames the connection has already
+// reused its buffer for; four shards fan every frame out.
 func TestTCPPipelinedIngestBitIdenticalToTwin(t *testing.T) {
-	tcp := newTCPTestServer(t, testConfig(""))
-	twin := newTCPTestServer(t, testConfig(""))
-	c := dialTCP(t, tcp)
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			cfg := testConfig("")
+			cfg.Shards = shards
+			tcp := newTCPTestServer(t, cfg)
+			twin := newTCPTestServer(t, cfg)
+			c := dialTCP(t, tcp)
 
-	edges := zipfEdges(31, 40000, 250, 2000)
-	const batch = 500
-	sent := 0
-	for i := 0; i < len(edges); i += batch {
-		end := i + batch
-		if end > len(edges) {
-			end = len(edges)
-		}
-		chunk := edges[i:end]
-		c.send(chunk)
-		sent++
-		if err := twin.submit(chunk, true); err != nil {
-			t.Fatal(err)
-		}
-		if sent%17 == 0 {
-			// Rotation mid-pipeline: frames already on the wire absorb
-			// before the cut (the gate drains pending), later ones after.
-			// The twin rotates at the same batch boundary. The acked prefix
-			// barrier below makes the schedules identical.
+			edges := zipfEdges(31, 40000, 250, 2000)
+			const batch = 500
+			sent := 0
+			for i := 0; i < len(edges); i += batch {
+				end := i + batch
+				if end > len(edges) {
+					end = len(edges)
+				}
+				chunk := edges[i:end]
+				c.send(chunk)
+				sent++
+				if err := twin.submit(chunk, true); err != nil {
+					t.Fatal(err)
+				}
+				if sent%17 == 0 {
+					// Rotation mid-pipeline: frames already on the wire absorb
+					// before the cut (the gate drains pending), later ones after.
+					// The twin rotates at the same batch boundary. The acked prefix
+					// barrier below makes the schedules identical.
+					for ; sent > 0; sent-- {
+						if _, status := c.readAck(); status != stream.AckOK {
+							t.Fatalf("ack status %d", status)
+						}
+					}
+					tcp.Drain()
+					tcp.rotate()
+					twin.rotate()
+				}
+			}
 			for ; sent > 0; sent-- {
 				if _, status := c.readAck(); status != stream.AckOK {
 					t.Fatalf("ack status %d", status)
 				}
 			}
 			tcp.Drain()
-			tcp.rotate()
-			twin.rotate()
-		}
-	}
-	for ; sent > 0; sent-- {
-		if _, status := c.readAck(); status != stream.AckOK {
-			t.Fatalf("ack status %d", status)
-		}
-	}
-	tcp.Drain()
 
-	if tcp.Epoch() != twin.Epoch() {
-		t.Fatalf("epochs %d vs %d", tcp.Epoch(), twin.Epoch())
-	}
-	want := make(map[uint64]float64)
-	twin.Estimator().Users(func(u uint64, e float64) { want[u] = e })
-	got := make(map[uint64]float64)
-	tcp.Estimator().Users(func(u uint64, e float64) { got[u] = e })
-	if len(got) != len(want) {
-		t.Fatalf("user sets differ: %d vs %d", len(got), len(want))
-	}
-	for u, w := range want {
-		if g, ok := got[u]; !ok || g != w {
-			t.Fatalf("user %d: tcp %v, twin %v", u, got[u], w)
-		}
-	}
-	a, errA := tcp.Estimator().TotalDistinctMerged()
-	b, errB := twin.Estimator().TotalDistinctMerged()
-	if errA != nil || errB != nil || a != b {
-		t.Fatalf("merged totals %v (%v) vs %v (%v)", a, errA, b, errB)
+			if tcp.Epoch() != twin.Epoch() {
+				t.Fatalf("epochs %d vs %d", tcp.Epoch(), twin.Epoch())
+			}
+			want := make(map[uint64]float64)
+			twin.Estimator().Users(func(u uint64, e float64) { want[u] = e })
+			got := make(map[uint64]float64)
+			tcp.Estimator().Users(func(u uint64, e float64) { got[u] = e })
+			if len(got) != len(want) {
+				t.Fatalf("user sets differ: %d vs %d", len(got), len(want))
+			}
+			for u, w := range want {
+				if g, ok := got[u]; !ok || g != w {
+					t.Fatalf("user %d: tcp %v, twin %v", u, got[u], w)
+				}
+			}
+			a, errA := tcp.Estimator().TotalDistinctMerged()
+			b, errB := twin.Estimator().TotalDistinctMerged()
+			if errA != nil || errB != nil || a != b {
+				t.Fatalf("merged totals %v (%v) vs %v (%v)", a, errA, b, errB)
+			}
+		})
 	}
 }
 

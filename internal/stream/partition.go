@@ -64,9 +64,8 @@ type partRun struct {
 // Partitioned is one batch split into shard-pure sub-batches. Sub-batches
 // are subslices of a single grouped buffer owned by the Partitioned, so
 // the source batch is free for reuse (or, for a zero-copy wire decode, its
-// request body free for release) as soon as Split returns — except in the
-// one-shard case, where grouping is the identity and the sub-batch aliases
-// the source batch to skip the copy.
+// request body free for release) as soon as Split returns, at every shard
+// count.
 //
 // Call Release when every sub-batch has been absorbed to return the
 // buffers to the pool; using any sub-batch after Release is a data race
@@ -78,7 +77,6 @@ type Partitioned struct {
 	// starts where shard t-1 ends; shard 0 at 0).
 	offsets []int
 	runs    []partRun // scratch; cleared on Release (runs alias the source)
-	aliased bool      // grouped aliases the source batch (one-shard identity)
 }
 
 // Split partitions edges by shard. The grouping is a stable counting sort:
@@ -89,8 +87,8 @@ func (p *Partitioner) Split(edges []Edge) *Partitioned {
 	b := p.pool.Get().(*Partitioned)
 	n := len(edges)
 	if p.shards == 1 {
-		b.aliased = true
-		b.grouped = edges
+		// Grouping is the identity: one memmove, no routing.
+		b.grouped = append(b.grouped[:0], edges...)
 		b.offsets[0] = n
 		return b
 	}
@@ -148,12 +146,8 @@ func (b *Partitioned) NumShards() int { return b.p.shards }
 func (b *Partitioned) Release() {
 	// Zero the run spans before pooling: they alias the source batch, and
 	// stale entries past the next Split's run count would keep that whole
-	// array reachable from the pool. Same for the one-shard alias.
+	// array reachable from the pool.
 	clear(b.runs)
 	b.runs = b.runs[:0]
-	if b.aliased {
-		b.aliased = false
-		b.grouped = nil
-	}
 	b.p.pool.Put(b)
 }

@@ -67,48 +67,40 @@ func TestPartitionerMatchesEdgeByEdgeRouting(t *testing.T) {
 	}
 }
 
-// TestPartitionerSingleShardAliases: with one shard grouping is the
-// identity, and the sub-batch must alias the input (no copy) — the server
-// keeps a zero-copy wire decode zero-copy all the way to the executor.
-func TestPartitionerSingleShardAliases(t *testing.T) {
-	p := NewPartitioner(1, func(uint64) int { return 0 })
-	edges := burstyEdges(100, 10, 1)
-	b := p.Split(edges)
-	got := b.Shard(0)
-	if len(got) != len(edges) || &got[0] != &edges[0] {
-		t.Fatal("one-shard split must alias the source batch")
-	}
-	b.Release()
-	// The pool must not hand the aliased slice to the next Split.
-	b2 := p.Split(nil)
-	if b2.Len() != 0 {
-		t.Fatalf("empty split reports %d edges", b2.Len())
-	}
-	b2.Release()
-}
-
-// TestPartitionerSourceFreeAfterSplit: with >1 shard the sub-batches are
-// copies, so mutating (or reusing) the source after Split must not change
-// them — that property is what lets the server release a wire request body
-// the moment Split returns.
+// TestPartitionerSourceFreeAfterSplit: at every shard count, one included,
+// the sub-batches are copies, so mutating (or reusing) the source after
+// Split must not change them — that property is what lets the server
+// release a wire request body, or read the next CWT1 frame into the same
+// buffer, the moment Split returns.
 func TestPartitionerSourceFreeAfterSplit(t *testing.T) {
-	p := NewPartitioner(4, func(u uint64) int { return int(u % 4) })
-	edges := burstyEdges(500, 31, 9)
-	index := func(u uint64) int { return int(u % 4) }
-	want := refSplit(edges, 4, index)
-	b := p.Split(edges)
-	for i := range edges {
-		edges[i] = Edge{User: ^uint64(0), Item: ^uint64(0)} // scribble
-	}
-	for s := 0; s < 4; s++ {
-		got := b.Shard(s)
-		for i := range got {
-			if got[i] != want[s][i] {
-				t.Fatalf("shard %d edge %d changed when the source was scribbled", s, i)
+	for _, shards := range []int{1, 4} {
+		index := func(u uint64) int { return int(u % uint64(shards)) }
+		p := NewPartitioner(shards, index)
+		edges := burstyEdges(500, 31, 9)
+		want := refSplit(edges, shards, index)
+		b := p.Split(edges)
+		for i := range edges {
+			edges[i] = Edge{User: ^uint64(0), Item: ^uint64(0)} // scribble
+		}
+		for s := 0; s < shards; s++ {
+			got := b.Shard(s)
+			if len(got) != len(want[s]) {
+				t.Fatalf("shards=%d shard %d: %d edges, want %d", shards, s, len(got), len(want[s]))
+			}
+			for i := range got {
+				if got[i] != want[s][i] {
+					t.Fatalf("shards=%d shard %d edge %d changed when the source was scribbled", shards, s, i)
+				}
 			}
 		}
+		b.Release()
+		// An empty split drawn from the pool must not see the last batch.
+		b2 := p.Split(nil)
+		if b2.Len() != 0 {
+			t.Fatalf("shards=%d: empty split reports %d edges", shards, b2.Len())
+		}
+		b2.Release()
 	}
-	b.Release()
 }
 
 // TestPartitionerReuse: Release/Split cycles must keep producing correct
