@@ -16,11 +16,19 @@ package streamcard
 //
 // This file fans that per-shard work out over a bounded worker pool sized to
 // GOMAXPROCS: TopK runs one bounded min-heap per shard and merges the
-// winners, NumUsers sums per-shard counts, and Users/RangeUsers fold every
-// shard's window in parallel before their serial in-order enumeration (fn
-// is called serially — that contract does not change). Each read folds
-// the view's frozen generations afresh: nearly every write publishes a new
-// view, so a fold kept on a view would almost never be read twice.
+// winners, NumUsers sums per-shard counts, Users sorts every shard's
+// per-user sums in parallel, and RangeUsers builds every shard's sealed
+// fold in parallel, before their serial enumeration (fn is called serially
+// — that contract does not change).
+//
+// On windowed shards no read builds a per-user table. Nearly every write
+// publishes a new view, but a write moves only the current generation: the
+// k−1 sealed ones are fixed until they retire. So each window folds its
+// sealed generations once per epoch, at the epoch's first analytics read,
+// and every view of the epoch shares that fold; a read then streams the
+// per-user sums into its heap or count, one fold-index probe per
+// current-generation user (Windowed.RangeUsers).
+//
 // Results are bit-identical to the sequential reference: the output order is
 // a strict total order over unique users, so neither the shard split nor the
 // pool's scheduling can reach the output.
@@ -29,8 +37,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-
-	"repro/internal/usertab"
 )
 
 // forEachShard runs work(i) for every i in [0, n) on a bounded worker pool
@@ -118,19 +124,4 @@ func mergeTopK(per [][]Spreader, k int) []Spreader {
 		all = all[:k:k]
 	}
 	return all
-}
-
-// windowFolds folds every shard's window generations on the worker pool and
-// returns the merged per-user tables in shard order, or nil when the shards
-// are not windows (a plain sketch needs no fold). Users and RangeUsers
-// stream the tables serially, shard by shard.
-func (v *ShardedView) windowFolds() []*usertab.Table {
-	if _, ok := v.views[0].(*Windowed); !ok {
-		return nil
-	}
-	folds := make([]*usertab.Table, len(v.views))
-	forEachShard(len(v.views), func(i int) {
-		folds[i] = v.views[i].(*Windowed).userSums()
-	})
-	return folds
 }

@@ -20,6 +20,7 @@ import (
 	"regexp"
 	"strings"
 	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 
@@ -102,6 +103,67 @@ func TestDaemonTCPIngest(t *testing.T) {
 		}
 	}
 	stopDaemon(t, sig, errc)
+}
+
+// TestDaemonLogsRefusedTCPFrame: a correctly framed CWT1 frame whose CWB1
+// payload is corrupt is acked 400, and the daemon says so on stderr: one
+// line for the connection's first refused frame, naming its seq and
+// status, and one line with the refused count by status when the
+// connection closes — never a line per refused frame.
+func TestDaemonLogsRefusedTCPFrame(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs a real binary; skipped in -short")
+	}
+	bin := filepath.Join(t.TempDir(), "cardserved")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("building cardserved: %v\n%s", err, out)
+	}
+	out := &syncBuffer{}
+	daemon := exec.Command(bin, "-addr", "127.0.0.1:0", "-mbits", "1048576", "-shards", "2",
+		"-tcp-addr", "127.0.0.1:0")
+	daemon.Stdout = out
+	daemon.Stderr = out
+	if err := daemon.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		daemon.Process.Signal(syscall.SIGTERM)
+		daemon.Wait()
+	}()
+	conn := dialCWT1(t, waitForTCPAddr(t, out))
+	defer conn.Close()
+
+	payload := stream.AppendWire(nil, []stream.Edge{{User: 1, Item: 100}, {User: 2, Item: 200}})
+	payload[len(payload)-1] ^= 0xff // break the CWB1 checksum; the CWT1 framing stays valid
+	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	var rec [stream.AckLen]byte
+	for _, seq := range []uint64{41, 42} {
+		frame := stream.AppendFrameHeader(nil, seq, len(payload))
+		if _, err := conn.Write(append(frame, payload...)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := io.ReadFull(conn, rec[:]); err != nil {
+			t.Fatal(err)
+		}
+		if got, status, err := stream.ParseAck(rec[:]); err != nil || got != seq || status != stream.AckBad {
+			t.Fatalf("ack (%d, %d, %v), want (%d, %d)", got, status, err, seq, stream.AckBad)
+		}
+	}
+	conn.Close()
+
+	first := regexp.MustCompile(`tcp \S+: refused frame seq 41 with status 400: wire: checksum mismatch`)
+	closing := regexp.MustCompile(`tcp \S+: connection closed after refusing 2 frames: 2 with status 400`)
+	deadline := time.Now().Add(10 * time.Second)
+	for !closing.MatchString(out.String()) && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+	}
+	log := out.String()
+	if !first.MatchString(log) || !closing.MatchString(log) {
+		t.Fatalf("stderr lacks the refused-frame lines:\n%s", log)
+	}
+	if strings.Contains(log, "seq 42") {
+		t.Fatalf("stderr names the second refused frame; want one line per connection for it:\n%s", log)
+	}
 }
 
 // crashBatch renders batch i of the same deterministic stream

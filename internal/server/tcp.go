@@ -35,6 +35,8 @@ import (
 	"io"
 	"net"
 	"os"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -59,6 +61,7 @@ type tcpAck struct {
 	seq    uint64
 	status uint16
 	walSeq uint64 // nonzero: Commit before acking (the durability barrier)
+	err    error  // why the frame is refused (status 400 or 500), else nil
 	t0     time.Time
 }
 
@@ -197,7 +200,7 @@ func (s *Server) serveTCPConn(conn net.Conn) {
 		if derr != nil {
 			// The header's CRC and length delimited this frame exactly, so a
 			// bad CWB1 payload rejects alone: ack 400, stay in sync.
-			acks <- tcpAck{seq: seq, status: stream.AckBad, t0: t0}
+			acks <- tcpAck{seq: seq, status: stream.AckBad, err: derr, t0: t0}
 			continue
 		}
 		if len(edges) == 0 {
@@ -216,7 +219,7 @@ func (s *Server) serveTCPConn(conn net.Conn) {
 			}
 			// WAL append failure: nothing ingested, and the WAL's latched
 			// error will refuse every later frame too — same as HTTP's 500.
-			acks <- tcpAck{seq: seq, status: stream.AckError, t0: t0}
+			acks <- tcpAck{seq: seq, status: stream.AckError, err: serr, t0: t0}
 			continue
 		}
 		acks <- tcpAck{seq: seq, status: stream.AckOK, walSeq: walSeq, t0: t0}
@@ -230,11 +233,18 @@ func (s *Server) serveTCPConn(conn net.Conn) {
 // burst costs one syscall's worth of acks, not one per frame. If the client
 // stops reading acks, the write eventually blocks, the ack queue fills, and
 // the reader stalls — backpressure again, never unbounded buffering.
+//
+// Every refusal (400 or 500) passes through here, so the acker also logs
+// them: one stderr line for the connection's first refused frame, and its
+// refused count by status when the connection closes — at most two lines
+// per connection, whatever a client sends.
 func (s *Server) tcpAcker(conn net.Conn, acks <-chan tcpAck, done chan<- struct{}) {
 	defer close(done)
 	bw := bufio.NewWriterSize(conn, 8<<10)
 	var rec [stream.AckLen]byte
 	dead := false
+	refused := map[uint16]int{}
+	defer func() { logRefusedTotals(conn.RemoteAddr(), refused) }()
 	for a := range acks {
 		if dead {
 			continue // client unreachable; drain so the reader never blocks
@@ -243,8 +253,15 @@ func (s *Server) tcpAcker(conn net.Conn, acks <-chan tcpAck, done chan<- struct{
 			if err := s.wal.Commit(a.walSeq); err != nil {
 				// Queued and absorbed, but durability unknown: refuse the
 				// ack so the client retries (duplicates are tolerated).
-				a.status = stream.AckError
+				a.status, a.err = stream.AckError, err
 			}
+		}
+		if a.err != nil {
+			if len(refused) == 0 {
+				fmt.Fprintf(os.Stderr, "cardserved: tcp %s: refused frame seq %d with status %d: %v\n",
+					conn.RemoteAddr(), a.seq, a.status, a.err)
+			}
+			refused[a.status]++
 		}
 		if _, err := bw.Write(stream.AppendAck(rec[:0], a.seq, a.status)); err != nil {
 			dead = true
@@ -261,4 +278,25 @@ func (s *Server) tcpAcker(conn net.Conn, acks <-chan tcpAck, done chan<- struct{
 	if !dead {
 		_ = bw.Flush()
 	}
+}
+
+// logRefusedTotals prints a closing connection's refused-frame count by
+// status, if it refused any.
+func logRefusedTotals(addr net.Addr, refused map[uint16]int) {
+	if len(refused) == 0 {
+		return
+	}
+	statuses := make([]uint16, 0, len(refused))
+	total := 0
+	for st, n := range refused {
+		statuses = append(statuses, st)
+		total += n
+	}
+	slices.Sort(statuses)
+	parts := make([]string, len(statuses))
+	for i, st := range statuses {
+		parts[i] = fmt.Sprintf("%d with status %d", refused[st], st)
+	}
+	fmt.Fprintf(os.Stderr, "cardserved: tcp %s: connection closed after refusing %d frames: %s\n",
+		addr, total, strings.Join(parts, ", "))
 }

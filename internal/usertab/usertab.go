@@ -305,10 +305,9 @@ func (t *Table) Range(fn func(key uint64, val float64)) {
 // deterministic order serialization and user enumeration promise, identical
 // for equal logical states regardless of how their layouts were reached.
 // It sorts an entry scratch slice (O(n log n)) drawn from a shared pool, so
-// repeated sorted enumerations (serialization, /users streams over window
-// folds) reuse one buffer instead of allocating 16 bytes per entry per
-// call; use Range where order does not matter. fn must not mutate the
-// table.
+// repeated sorted enumerations (serialization, /users streams) reuse one
+// buffer instead of allocating 16 bytes per entry per call; use Range
+// where order does not matter. fn must not mutate the table.
 func (t *Table) SortedRange(fn func(key uint64, val float64)) {
 	if t.hasZero {
 		fn(0, t.zeroVal)

@@ -192,30 +192,34 @@ func (v *ShardedView) Name() string { return v.parent.name }
 // within each — the same fully deterministic order as Sharded.Users, but
 // with no lock held for the duration of the stream: fn may be arbitrarily
 // slow, or even call back into the parent Sharded, without stalling ingest.
-// The expensive part — each shard's cross-generation window fold — runs on
-// the worker pool first; only the ordered streaming of fn stays on this
-// goroutine.
+// On windowed shards the expensive part — each shard's per-user sums,
+// sorted — runs on the worker pool first; only the ordered streaming of fn
+// stays on this goroutine.
 func (v *ShardedView) Users(fn func(user uint64, estimate float64)) {
-	if folds := v.windowFolds(); folds != nil {
-		for _, t := range folds {
-			t.SortedRange(fn)
+	if _, ok := v.views[0].(*Windowed); !ok {
+		for _, e := range v.views {
+			e.Users(fn)
 		}
 		return
 	}
-	for _, e := range v.views {
-		e.Users(fn)
+	sorted := make([][]Spreader, len(v.views))
+	forEachShard(len(v.views), func(i int) {
+		sorted[i] = v.views[i].(*Windowed).sortedSums()
+	})
+	for _, s := range sorted {
+		for _, p := range s {
+			fn(p.User, p.Estimate)
+		}
 	}
 }
 
-// RangeUsers implements UserRanger: the unordered allocation-free
-// counterpart of Users, same exactly-once fan-out and the same parallel
-// fold (fn itself is still called serially).
+// RangeUsers implements UserRanger: the unordered counterpart of Users,
+// with the same exactly-once fan-out and no sort. On windowed shards the
+// epoch's sealed folds are built on the worker pool first, so only the
+// streaming stays serial (fn itself is still called serially).
 func (v *ShardedView) RangeUsers(fn func(user uint64, estimate float64)) {
-	if folds := v.windowFolds(); folds != nil {
-		for _, t := range folds {
-			t.Range(fn)
-		}
-		return
+	if _, ok := v.views[0].(*Windowed); ok {
+		forEachShard(len(v.views), func(i int) { v.views[i].(*Windowed).sealed() })
 	}
 	for _, e := range v.views {
 		e.RangeUsers(fn)
@@ -224,7 +228,7 @@ func (v *ShardedView) RangeUsers(fn func(user uint64, estimate float64)) {
 
 // NumUsers implements AnytimeEstimator (sum of per-shard counts; exact,
 // since users partition across shards). The per-shard counts — each a
-// window fold on windowed stacks — run on the worker pool.
+// count of the streamed sums on windowed stacks — run on the worker pool.
 func (v *ShardedView) NumUsers() int {
 	counts := make([]int, len(v.views))
 	forEachShard(len(v.views), func(i int) {

@@ -1,12 +1,14 @@
 package streamcard
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/core"
-	"repro/internal/usertab"
+	"repro/internal/hashing"
 )
 
 // Windowed adapts FreeBS or FreeRS to approximate cardinalities over the
@@ -63,6 +65,13 @@ type Windowed struct {
 	epoch uint64  // rotations performed so far
 	edges uint64  // edges attributed to the current epoch
 
+	// fold is the epoch's fold of the sealed generations gens[1:], shared
+	// by every view and cut of the epoch and built by the first analytics
+	// read. Every path that changes gens[1:] replaces it: rotation and
+	// restore under mu, merge on the private clone it folds into. A view's
+	// never changes.
+	fold *sealedFold
+
 	// pub caches the estimates-only view Snapshot built last. Every
 	// mutation clears it under mu, so a non-nil pub always freezes the
 	// current state, and Snapshot serves it with one atomic load.
@@ -111,7 +120,9 @@ func WithOnRetire(fn func(retired Estimator)) WindowedOption {
 // NewWindowed returns a windowed wrapper; build must return a fresh FreeBS
 // or FreeRS (it is called on construction and at every rotation, and
 // panics on any other estimator — so NewWindowed itself panics when the
-// first generation is not one). It also panics if build is nil or k < 2.
+// first generation is not one). It also panics if build is nil, or if k
+// is below 2 or above 65,536 (core.MaxWindowGenerations), the most
+// generations a checkpoint can hold.
 // Example:
 //
 //	w := streamcard.NewWindowed(func() streamcard.Estimator {
@@ -125,8 +136,8 @@ func NewWindowed(build func() Estimator, opts ...WindowedOption) *Windowed {
 	for _, o := range opts {
 		o(&cfg)
 	}
-	if cfg.k < 2 {
-		panic(fmt.Sprintf("streamcard: Windowed needs at least 2 generations, got %d", cfg.k))
+	if cfg.k < 2 || cfg.k > core.MaxWindowGenerations {
+		panic(fmt.Sprintf("streamcard: Windowed needs 2 to %d generations, got %d", core.MaxWindowGenerations, cfg.k))
 	}
 	// A Windowed is a layer too, so the check names the two sketches
 	// rather than asserting the contract.
@@ -142,7 +153,7 @@ func NewWindowed(build func() Estimator, opts ...WindowedOption) *Windowed {
 			panic(fmt.Sprintf("streamcard: Windowed generations must be FreeBS or FreeRS, not %s", g.Name()))
 		}
 	}
-	w := &Windowed{build: wrapped, cfg: cfg, gens: make([]layer, 1, cfg.k)}
+	w := &Windowed{build: wrapped, cfg: cfg, gens: make([]layer, 1, cfg.k), fold: new(sealedFold)}
 	w.gens[0] = wrapped()
 	w.name = fmt.Sprintf("Windowed(%s,k=%d)", w.gens[0].Name(), cfg.k)
 	return w
@@ -165,12 +176,15 @@ func NewWindowed(build func() Estimator, opts ...WindowedOption) *Windowed {
 // the current generation's per-user table, never of its array.
 //
 // The view is cached: while nothing writes the window, repeated calls
-// return the same view via one atomic load. The view itself caches
-// nothing: each analytics read folds its frozen generations again. Every
-// write, rotation and restore clears the cache under the window lock, so
-// a view taken after a write always reflects every Observe, ObserveBatch
-// and Rotate that completed before the call — the read-your-writes
-// contract the serving layer's ?wait=1 relies on.
+// return the same view via one atomic load. Every write, rotation and
+// restore clears the cache under the window lock, so a view taken after a
+// write always reflects every Observe, ObserveBatch and Rotate that
+// completed before the call — the read-your-writes contract the serving
+// layer's ?wait=1 relies on. A write moves only the current generation,
+// so every view of one epoch shares the window's fold of its sealed
+// generations: the epoch's first analytics read (Users, RangeUsers,
+// NumUsers, TopK) builds it once, and a rotation or restore starts the
+// next epoch's.
 //
 // On a standalone Windowed the view after a write is built by whichever
 // reader calls Snapshot first (a brief window-lock hold); per-edge ingest
@@ -209,11 +223,11 @@ func (w *Windowed) fullSnapshot() *Windowed {
 }
 
 // freezeLocked returns a view holding fork applied to every live
-// generation. The caller holds the window lock, so the forks and the epoch
-// bookkeeping describe one instant.
+// generation and the epoch's sealed fold. The caller holds the window
+// lock, so the forks and the epoch bookkeeping describe one instant.
 func (w *Windowed) freezeLocked(fork func(layer) layer) *Windowed {
 	v := &Windowed{build: w.build, cfg: w.cfg, name: w.name, frozen: true,
-		gens: make([]layer, len(w.gens)), epoch: w.epoch, edges: w.edges}
+		gens: make([]layer, len(w.gens)), epoch: w.epoch, edges: w.edges, fold: w.fold}
 	for i, g := range w.gens {
 		v.gens[i] = fork(g)
 	}
@@ -344,17 +358,19 @@ func (w *Windowed) rotateLocked() {
 	w.gens[0] = g
 	w.epoch++
 	w.edges = 0
+	w.fold = new(sealedFold)
 	w.pub.Store(nil)
 }
 
 // install replaces the live state with gens (newest first), epoch and
-// edges, and clears the cached view: the restore step of Merge and
-// UnmarshalBinary. Both build a valid state first (a merged clone, a
-// checkpoint core.UnmarshalWindow checked), so it checks nothing.
+// edges, and clears the cached view and the sealed fold: the restore step
+// of Merge and UnmarshalBinary. Both build a valid state first (a merged
+// clone, a checkpoint core.UnmarshalWindow checked), so it checks nothing.
 func (w *Windowed) install(gens []layer, epoch, edges uint64) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	w.gens, w.epoch, w.edges = gens, epoch, edges
+	w.fold = new(sealedFold)
 	w.pub.Store(nil)
 }
 
@@ -376,42 +392,50 @@ func (w *Windowed) LiveGenerations() int {
 	return len(w.gens)
 }
 
-// Users implements AnytimeEstimator: fn is called once per user with a
-// nonzero windowed estimate — the sum of that user's estimates across live
-// generations — in ascending user order. Cost is O(users log users) time
-// and O(users) memory (a flat merge table plus its sort, since one user may
-// appear in several generations); RangeUsers skips the sort. The per-user
-// fold itself (O(users)) runs over the view Snapshot returns, holding no
-// lock at all — a slow consumer of fn cannot stall ingestion.
+// Users implements AnytimeEstimator: fn is called once per user present
+// in any live generation, with the sum of that user's estimates across
+// live generations — bit for bit its Estimate — in ascending user order.
+// It streams RangeUsers' pairs into one slice and sorts it: O(users log
+// users) time and 16 bytes per user. The enumeration runs over the view
+// Snapshot returns, holding no lock at all — a slow consumer of fn cannot
+// stall ingestion.
 func (w *Windowed) Users(fn func(user uint64, estimate float64)) {
-	w.Snapshot().userSums().SortedRange(fn)
+	for _, p := range w.Snapshot().sortedSums() {
+		fn(p.User, p.Estimate)
+	}
 }
 
 // RangeUsers implements UserRanger: the same per-user windowed sums as
-// Users, in the merge table's layout order (deterministic per history, not
-// sorted). The fold across generations still costs O(users); only Users'
-// sort is skipped.
+// Users, unsorted: the current generation's users in its table's layout
+// order, then the users only the sealed generations hold, in the epoch's
+// fold order (deterministic per history). It builds no per-user table:
+// each current-generation user costs one probe of the sealed fold's
+// index, and a sealed-only user costs none. The epoch's first analytics
+// read builds the fold, O(sealed entries); every later read of the epoch
+// reuses it.
 func (w *Windowed) RangeUsers(fn func(user uint64, estimate float64)) {
-	w.Snapshot().userSums().Range(fn)
+	w.Snapshot().rangeSums(fn)
 }
 
-// NumUsers implements AnytimeEstimator: the number of users with a nonzero
-// estimate in any live generation. Costs a full O(users) generation fold;
-// UserEntries is the O(k) upper bound for cheap occupancy gauges.
+// NumUsers implements AnytimeEstimator: the number of users present in
+// any live generation, counted as RangeUsers streams them; UserEntries is
+// the O(k) upper bound for cheap occupancy gauges.
 func (w *Windowed) NumUsers() int {
-	return w.Snapshot().userSums().Len()
+	n := 0
+	w.RangeUsers(func(uint64, float64) { n++ })
+	return n
 }
 
 // UserEntries returns the total number of per-user estimate entries across
 // live generations — a user active in g generations contributes g entries,
-// so this is an upper bound on NumUsers that costs O(k) map-length reads
-// instead of NumUsers' O(users) merge map. Occupancy gauges scraped every
-// few seconds want this reading; exact distinct-user counts want NumUsers.
-// Deliberately NOT snapshot-routed: the whole point of this reading is
-// that a periodic scrape costs O(k) counter loads under a brief window-lock
-// hold — building a view here would make every scrape mark the live
-// per-user tables shared and bill the writer a fresh copy-on-write detach
-// for a gauge.
+// so this is an upper bound on NumUsers that costs O(k) table-length reads
+// instead of NumUsers' O(users) walk, and never builds the sealed fold.
+// Occupancy gauges scraped every few seconds want this reading; exact
+// distinct-user counts want NumUsers. Deliberately NOT snapshot-routed:
+// the whole point of this reading is that a periodic scrape costs O(k)
+// counter loads under a brief window-lock hold — building a view here
+// would make every scrape mark the live per-user tables shared and bill
+// the writer a fresh copy-on-write detach for a gauge.
 func (w *Windowed) UserEntries() int {
 	w.lock()
 	defer w.unlock()
@@ -422,20 +446,140 @@ func (w *Windowed) UserEntries() int {
 	return total
 }
 
-// userSums folds a view's generations' per-user estimates into one flat
-// table, generation order outermost — the same summation order Estimate
-// uses for a single user, so the folded value matches Estimate bit for bit.
-// Only views reach it, since Users/RangeUsers/NumUsers read through
-// Snapshot, and every call folds afresh. The fold reads each generation
-// through its unordered allocation-free iterator; only the result table is
-// allocated, pre-sized to the entry upper bound (UserEntries) so the fold
-// never rehashes.
-func (w *Windowed) userSums() *usertab.Table {
-	merged := usertab.NewWithCapacity(w.UserEntries())
-	for _, g := range w.gens {
-		g.RangeUsers(func(u uint64, e float64) { merged.Add(u, e) })
+// sealed returns the view's sealed fold, building it on the epoch's first
+// call; concurrent first callers wait for the one build.
+func (w *Windowed) sealed() *sealedFold {
+	f := w.fold
+	f.once.Do(func() { f.build(w.gens[1:]) })
+	return f
+}
+
+// rangeSums calls fn once per user of the view with the user's windowed
+// sum, added in Estimate's order (newest generation first, +0 where the
+// user is absent), so every value equals Estimate bit for bit. Pass 1
+// walks the current generation, completes each user's sum from the
+// sealed fold and marks the fold position it used; pass 2 emits the
+// sealed sum of every unmarked fold user. Membership is presence in a
+// generation's table, never a nonzero estimate: a restored zero-valued
+// entry still counts as a user.
+func (w *Windowed) rangeSums(fn func(user uint64, estimate float64)) {
+	f := w.sealed()
+	seen := make([]uint64, (len(f.users)+63)/64)
+	w.gens[0].RangeUsers(func(u uint64, e float64) {
+		sum := 0.0 // Estimate's start: 0 + e is not e when e is −0
+		sum += e
+		if p := f.find(u); p >= 0 {
+			seen[p/64] |= 1 << (p % 64)
+			for _, x := range f.ests[p*f.width : (p+1)*f.width] {
+				sum += x
+			}
+		}
+		fn(u, sum)
+	})
+	for p, u := range f.users {
+		if seen[p/64]&(1<<(p%64)) == 0 {
+			fn(u, f.sums[p])
+		}
 	}
-	return merged
+}
+
+// sortedSums returns the view's per-user sums (rangeSums) in ascending
+// user order.
+func (w *Windowed) sortedSums() []Spreader {
+	out := make([]Spreader, 0, w.gens[0].NumUsers()+len(w.sealed().users))
+	w.rangeSums(func(u uint64, e float64) { out = append(out, Spreader{User: u, Estimate: e}) })
+	slices.SortFunc(out, func(a, b Spreader) int { return cmp.Compare(a.User, b.User) })
+	return out
+}
+
+// sealedFold is one epoch's fold of a window's sealed generations, which
+// nothing writes again before they retire. It holds every sealed user
+// once, at a position: the user's estimate in each sealed generation,
+// newest first, 0 where absent; their sum, added in that order from 0 as
+// Estimate adds them; and an exact user → position index. Only the
+// once-guarded build writes it, so reads after sealed() take no lock.
+type sealedFold struct {
+	once  sync.Once
+	width int        // sealed generations
+	users []uint64   // position → user
+	ests  []float64  // width estimates per position, newest first
+	sums  []float64  // position → sealed sum
+	index []foldSlot // linear probing, at most half full
+}
+
+// foldSlot is one index slot: a user and its position + 1, 0 when empty
+// (so user 0 needs no sentinel).
+type foldSlot struct {
+	user uint64
+	at   int
+}
+
+// build folds sealed (newest first) into f: one walk per generation finds
+// every distinct user, growing the index so it stays at most half full of
+// them, and a second walk files each estimate at its user's position.
+func (f *sealedFold) build(sealed []layer) {
+	most := 0
+	for _, g := range sealed {
+		most = max(most, g.NumUsers())
+	}
+	f.width = len(sealed)
+	f.users = make([]uint64, 0, most)
+	f.reindex(2 * most)
+	for _, g := range sealed {
+		g.RangeUsers(func(u uint64, _ float64) {
+			s := f.slot(u)
+			if s.at != 0 {
+				return
+			}
+			f.users = append(f.users, u)
+			*s = foldSlot{user: u, at: len(f.users)}
+			if 2*len(f.users) > len(f.index) {
+				f.reindex(2 * len(f.index))
+			}
+		})
+	}
+	f.ests = make([]float64, len(f.users)*f.width)
+	for j, g := range sealed {
+		g.RangeUsers(func(u uint64, e float64) {
+			f.ests[f.find(u)*f.width+j] = e
+		})
+	}
+	f.sums = make([]float64, len(f.users))
+	for p := range f.sums {
+		sum := 0.0
+		for _, e := range f.ests[p*f.width : (p+1)*f.width] {
+			sum += e
+		}
+		f.sums[p] = sum
+	}
+}
+
+// reindex rebuilds the index at the smallest power of two holding at
+// least capacity slots (2 at least), refiling every user found so far.
+func (f *sealedFold) reindex(capacity int) {
+	c := 2
+	for c < capacity {
+		c <<= 1
+	}
+	f.index = make([]foldSlot, c)
+	for p, u := range f.users {
+		*f.slot(u) = foldSlot{user: u, at: p + 1}
+	}
+}
+
+// slot returns the index slot holding u, or the empty slot u would take.
+func (f *sealedFold) slot(u uint64) *foldSlot {
+	mask := uint64(len(f.index) - 1)
+	for i := hashing.Mix64(u) & mask; ; i = (i + 1) & mask {
+		if s := &f.index[i]; s.at == 0 || s.user == u {
+			return s
+		}
+	}
+}
+
+// find returns u's position, or -1 when no sealed generation holds u.
+func (f *sealedFold) find(u uint64) int {
+	return f.slot(u).at - 1
 }
 
 // Merge folds other into w generation by generation, so each of w's live
@@ -484,6 +628,7 @@ func (w *Windowed) merge(other layer) error {
 	if w.epoch != o.epoch {
 		return fmt.Errorf("streamcard: windows at epoch %d vs %d: %w", w.epoch, o.epoch, ErrIncompatible)
 	}
+	w.fold = new(sealedFold)
 	for i, g := range w.gens {
 		if err := g.merge(o.gens[i]); err != nil {
 			return fmt.Errorf("streamcard: window generation %d: %w", i, err)
@@ -504,7 +649,8 @@ func (w *Windowed) Clone() *Windowed {
 	for i, g := range w.gens {
 		gens[i] = g.clone()
 	}
-	return &Windowed{build: w.build, cfg: w.cfg, name: w.name, gens: gens, epoch: w.epoch, edges: w.edges}
+	return &Windowed{build: w.build, cfg: w.cfg, name: w.name, gens: gens, epoch: w.epoch, edges: w.edges,
+		fold: new(sealedFold)}
 }
 
 // MarshalBinary serializes every live generation plus the epoch bookkeeping

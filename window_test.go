@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/exact"
 	"repro/internal/hashing"
 )
@@ -405,6 +406,10 @@ func TestWindowedPanics(t *testing.T) {
 	mustPanic(t, func() { NewWindowed(func() Estimator { return nil }) })
 	mustPanic(t, func() {
 		NewWindowed(func() Estimator { return NewFreeBS(64) }, WithGenerations(1))
+	})
+	// More generations than a checkpoint can hold.
+	mustPanic(t, func() {
+		NewWindowed(func() Estimator { return NewFreeBS(64) }, WithGenerations(core.MaxWindowGenerations+1))
 	})
 	calls := 0
 	w := NewWindowed(func() Estimator {
