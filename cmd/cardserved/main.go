@@ -101,8 +101,8 @@ func run(args []string, out io.Writer, sig <-chan os.Signal) error {
 	// The write deadline is connection hygiene: /users streams from a
 	// published snapshot and holds no sketch lock, but a client that stops
 	// reading would still pin the handler goroutine and the snapshot's
-	// copy-on-write arrays until its connection dies. WriteTimeout is the
-	// only write deadline, /users included; 0 means none.
+	// copy-on-write per-user tables until its connection dies. WriteTimeout
+	// is the only write deadline, /users included; 0 means none.
 	httpSrv := &http.Server{Handler: s.Handler(), WriteTimeout: *writeTO}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.Serve(ln) }()

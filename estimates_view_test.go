@@ -43,9 +43,10 @@ func shardEdges(s *Sharded, idx, n int, rng *hashing.RNG) []Edge {
 
 // TestArmedAbsorbCopiesNoArray: on a served Sharded(Windowed(...)) stack,
 // publication forks only the per-user table, so a small absorb with
-// publication armed allocates a small fraction of the shard's array; the
-// array is copied only after a full cut, exactly once per shard — the
-// current generation's, never an older one's.
+// publication armed allocates a small fraction of the shard's array. A full
+// cut copies the array itself, exactly once per shard — the current
+// generation's, never an older one's, which it shares — so no write after
+// the cut copies an array either.
 func TestArmedAbsorbCopiesNoArray(t *testing.T) {
 	const (
 		shards       = 2
@@ -88,22 +89,52 @@ func TestArmedAbsorbCopiesNoArray(t *testing.T) {
 				}
 			}
 
-			if s.FullSnapshot() == nil {
+			var cut *ShardedView
+			got := allocBytes(func() { cut = s.FullSnapshot() })
+			if cut == nil {
 				t.Fatal("FullSnapshot returned nil for a snapshottable stack")
+			}
+			if got < shards*arrayBytes || got >= (shards+1)*arrayBytes {
+				t.Fatalf("FullSnapshot allocated %d B, want one %d B array per shard (%d shards) and no more",
+					got, arrayBytes, shards)
 			}
 			for i := 0; i < shards; i++ {
 				a, b := shardEdges(s, i, 64, rng), shardEdges(s, i, 64, rng)
-				first := allocBytes(func() { s.ObserveShardBatch(i, a) })
-				if first < arrayBytes || first >= 2*arrayBytes {
-					t.Fatalf("shard %d: first write after a full cut allocated %d B, want one %d B array copy",
-						i, first, arrayBytes)
+				if first := allocBytes(func() { s.ObserveShardBatch(i, a) }); first >= arrayBytes/8 {
+					t.Fatalf("shard %d: first write after a full cut allocated %d B: it copied an array", i, first)
 				}
-				second := allocBytes(func() { s.ObserveShardBatch(i, b) })
-				if second >= arrayBytes/8 {
-					t.Fatalf("shard %d: second write after a full cut allocated %d B: the array was copied again", i, second)
+				if second := allocBytes(func() { s.ObserveShardBatch(i, b) }); second >= arrayBytes/8 {
+					t.Fatalf("shard %d: second write after a full cut allocated %d B: it copied an array", i, second)
 				}
 			}
 		})
+	}
+}
+
+// TestArmedAbsorbAllocsIndependentOfK: publishing a written shard forks
+// only the window's current generation and shares its sealed ones, so an
+// armed shard-pure absorb makes as many allocations on a full k = 4 or
+// k = 8 window as on a full k = 2 one.
+func TestArmedAbsorbAllocsIndependentOfK(t *testing.T) {
+	allocs := func(k int) float64 {
+		s := NewSharded(2, func(int) Estimator {
+			return NewWindowed(func() Estimator { return NewFreeRS(1<<16, WithSeed(3)) }, WithGenerations(k))
+		})
+		rng := hashing.NewRNG(5)
+		for g := 1; g < k; g++ { // every generation holds users
+			s.ObserveBatch(randomBatch(rng, 2000))
+			s.Rotate()
+		}
+		s.ObserveBatch(randomBatch(rng, 2000))
+		s.Snapshot() // arms publication
+		edges := shardEdges(s, 0, 64, rng)
+		return testing.AllocsPerRun(50, func() { s.ObserveShardBatch(0, edges) })
+	}
+	a2 := allocs(2)
+	for _, k := range []int{4, 8} {
+		if a := allocs(k); a != a2 {
+			t.Fatalf("an armed 64-edge absorb made %v allocations at k = 2 and %v at k = %d, want equal", a2, a, k)
+		}
 	}
 }
 

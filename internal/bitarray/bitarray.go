@@ -22,12 +22,6 @@ type BitArray struct {
 	words []uint64
 	size  int // number of valid bits
 	zeros int // maintained count of zero bits among the first size bits
-
-	// shared marks words as possibly aliased by a Snapshot: the next write
-	// must detach (copy the backing array) first. Derived statistics (size,
-	// zeros) live in the struct and are copied by Snapshot itself, so only
-	// word writes pay the copy-on-write check.
-	shared bool
 }
 
 // New returns a bit array of size bits, all zero. It panics if size <= 0.
@@ -72,7 +66,6 @@ func (b *BitArray) Set(i int) bool {
 	if b.words[w]&mask != 0 {
 		return false
 	}
-	b.detach()
 	b.words[w] |= mask
 	b.zeros--
 	return true
@@ -88,7 +81,6 @@ func (b *BitArray) Clear(i int) bool {
 	if b.words[w]&mask == 0 {
 		return false
 	}
-	b.detach()
 	b.words[w] &^= mask
 	b.zeros++
 	return true
@@ -96,39 +88,18 @@ func (b *BitArray) Clear(i int) bool {
 
 // Reset zeroes every bit.
 func (b *BitArray) Reset() {
-	if b.shared {
-		// Snapshots keep the old words; start over on a private array
-		// instead of paying a copy just to zero it.
-		b.words = make([]uint64, len(b.words))
-		b.shared = false
-	} else {
-		for i := range b.words {
-			b.words[i] = 0
-		}
+	for i := range b.words {
+		b.words[i] = 0
 	}
 	b.zeros = b.size
-}
-
-// Snapshot returns an O(1) logically frozen copy of b: both arrays keep the
-// shared backing words and the first mutation on either side copies them
-// (copy-on-write), so taking a snapshot costs one small struct allocation
-// regardless of M. The snapshot is a fully independent BitArray — reads are
-// safe concurrently with mutations of the parent (the parent never writes
-// the shared words; it detaches onto a private copy first), and mutating the
-// snapshot itself detaches it the same way.
-func (b *BitArray) Snapshot() *BitArray {
-	b.shared = true
-	c := *b
-	return &c
 }
 
 // Stats returns a statistics-only copy of b: the size and the maintained
 // zero count, with no words. Every statistic (Size, ZeroCount, OnesCount,
 // ZeroFraction) reads exactly as on b at the time of the call, but the copy
 // holds no bits, so Get and Set on it panic and MarshalBinary, Clone and
-// UnionWith refuse it. Unlike Snapshot it leaves b's words unshared, so b's
-// next write pays no copy. The estimates-only views of the serving path
-// carry one of these.
+// UnionWith refuse it. The estimates-only views of the serving path carry
+// one of these.
 func (b *BitArray) Stats() *BitArray {
 	return &BitArray{size: b.size, zeros: b.zeros}
 }
@@ -138,18 +109,6 @@ func (b *BitArray) HasWords() bool { return len(b.words) > 0 }
 
 // errStatsOnly is returned by the operations a Stats copy cannot serve.
 var errStatsOnly = errors.New("bitarray: statistics-only copy holds no bits")
-
-// detach gives b a private copy of the backing words if a snapshot may still
-// alias them. Called before every word write.
-func (b *BitArray) detach() {
-	if !b.shared {
-		return
-	}
-	w := make([]uint64, len(b.words))
-	copy(w, b.words)
-	b.words = w
-	b.shared = false
-}
 
 // Audit recomputes the zero count from the raw words. It returns an error if
 // the maintained count disagrees (which would indicate a bug) and repairs the
@@ -171,7 +130,7 @@ func (b *BitArray) Audit() error {
 	return nil
 }
 
-// Clone returns a deep copy (eager, unlike Snapshot's lazy copy-on-write).
+// Clone returns a deep copy, the only copy of an array that keeps its bits.
 // It panics on a Stats copy, which has no bits to copy: a clone is a
 // mutable array, and one built from statistics alone would be a sketch
 // that silently forgot every bit.
@@ -194,7 +153,6 @@ func (b *BitArray) UnionWith(other *BitArray) error {
 	if !b.HasWords() || !other.HasWords() {
 		return errStatsOnly
 	}
-	b.detach()
 	zeros := 0
 	for i := range b.words {
 		b.words[i] |= other.words[i]
@@ -249,8 +207,7 @@ func (b *BitArray) UnmarshalBinary(data []byte) error {
 	}
 	b.words = words
 	b.size = size
-	b.shared = false // freshly allocated words; no snapshot aliases them
-	b.zeros = 0      // recompute below via Audit repair
+	b.zeros = 0 // recompute below via Audit repair
 	_ = b.Audit()
 	return nil
 }

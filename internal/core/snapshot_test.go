@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 )
 
@@ -114,24 +115,35 @@ func TestSnapshotChainThroughBatches(t *testing.T) {
 	}
 }
 
-// TestSnapshotO1Core: snapshotting a loaded sketch allocates a handful of
-// small objects, never the arrays.
+// TestSnapshotO1Core: a full fork of a loaded sketch copies its array once,
+// at the fork, and shares its per-user table: it allocates one array's
+// bytes and less than one table's more.
 func TestSnapshotO1Core(t *testing.T) {
 	f := NewFreeBS(1<<20, 7)
 	feedBS(f, 50000, 9)
-	allocs := testing.AllocsPerRun(50, func() {
-		sinkBS = f.Snapshot()
-	})
-	if allocs > 4 { // FreeBS struct + BitArray struct + Table struct (+slack)
-		t.Fatalf("FreeBS.Snapshot allocates %v objects, want <= 4", allocs)
-	}
+	checkForkBytes(t, "FreeBS", f.MemoryBits(), f.PerUserBytes(), func() { sinkBS = f.Snapshot() })
 	r := NewFreeRS(1<<18, 7)
 	feedRS(r, 50000, 9)
-	allocs = testing.AllocsPerRun(50, func() {
-		sinkRS = r.Snapshot()
-	})
-	if allocs > 4 {
-		t.Fatalf("FreeRS.Snapshot allocates %v objects, want <= 4", allocs)
+	checkForkBytes(t, "FreeRS", r.MemoryBits(), r.PerUserBytes(), func() { sinkRS = r.Snapshot() })
+}
+
+// checkForkBytes fails t unless fork allocates, per call, at least the
+// bytes of an array of memoryBits bits packed into words, and less than
+// that plus tableBytes: an array copy, never a table copy.
+func checkForkBytes(t *testing.T, name string, memoryBits, tableBytes int64, fork func()) {
+	t.Helper()
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		fork()
+	}
+	runtime.ReadMemStats(&after)
+	got := int64(after.TotalAlloc-before.TotalAlloc) / runs
+	arrayBytes := (memoryBits + 63) / 64 * 8
+	if got < arrayBytes || got >= arrayBytes+tableBytes {
+		t.Fatalf("%s.Snapshot allocates %d B per call, want one %d B array and less than the %d B table more",
+			name, got, arrayBytes, tableBytes)
 	}
 }
 

@@ -42,9 +42,6 @@ func NewIndexFamily(seed uint64, m, space int) *IndexFamily {
 // M returns the family size m.
 func (f *IndexFamily) M() int { return f.m }
 
-// Space returns the index space size M.
-func (f *IndexFamily) Space() int { return f.space }
-
 // bases returns the double-hashing base pair (h1, h2) for user s, with h2
 // forced odd so the stride is invertible modulo any power of two and shares
 // no trivial factor with most moduli.

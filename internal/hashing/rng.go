@@ -56,16 +56,6 @@ func (r *RNG) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
 }
 
-// ExpFloat64 returns an exponentially distributed float64 with rate 1,
-// generated by inversion. Used for Poisson thinning in the data generators.
-func (r *RNG) ExpFloat64() float64 {
-	u := r.Float64()
-	for u == 0 {
-		u = r.Float64()
-	}
-	return -math.Log(u)
-}
-
 // Poisson returns a Poisson(lambda) variate. For small lambda (the duplicate
 // injector uses lambda < 10) Knuth's product method is exact and fast; for
 // larger lambda it falls back to a normal approximation with continuity

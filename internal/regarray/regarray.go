@@ -53,11 +53,6 @@ type Array struct {
 	exact  bool  // whether scaled is maintained
 	scaled uint64
 	// scaled = Σ_j 2^(maxVal-R[j]), maintained incrementally when exact.
-
-	// shared marks words as possibly aliased by a Snapshot: the next write
-	// must detach (copy the backing array) first. Derived statistics live in
-	// the struct and are copied by Snapshot itself.
-	shared bool
 }
 
 // New returns an array of size registers of width bits each, all zero.
@@ -167,7 +162,6 @@ func (a *Array) UpdateMax(i int, v uint8) (old uint8, changed bool) {
 	if v <= old {
 		return old, false
 	}
-	a.detach()
 	a.set(i, v)
 	if old == 0 {
 		a.zeros--
@@ -181,14 +175,8 @@ func (a *Array) UpdateMax(i int, v uint8) (old uint8, changed bool) {
 
 // Reset zeroes every register.
 func (a *Array) Reset() {
-	if a.shared {
-		// Snapshots keep the old words; start over on a private array.
-		a.words = make([]uint64, len(a.words))
-		a.shared = false
-	} else {
-		for i := range a.words {
-			a.words[i] = 0
-		}
+	for i := range a.words {
+		a.words[i] = 0
 	}
 	a.zeros = a.size
 	if a.exact {
@@ -196,26 +184,13 @@ func (a *Array) Reset() {
 	}
 }
 
-// Snapshot returns an O(1) logically frozen copy of a: both arrays keep the
-// shared backing words and the first register write on either side copies
-// them (copy-on-write), so taking a snapshot costs one small struct
-// allocation regardless of M. Reads of the snapshot are safe concurrently
-// with mutations of the parent, which detaches onto a private copy before
-// its first write.
-func (a *Array) Snapshot() *Array {
-	a.shared = true
-	c := *a
-	return &c
-}
-
 // Stats returns a statistics-only copy of a: the layout plus the maintained
 // zero count and harmonic sum, with no words. Every statistic (Size, Width,
 // ZeroCount, and in exact mode HarmonicSum and ChangeProbability) reads
 // exactly as on a at the time of the call, but the copy holds no registers,
 // so Get and UpdateMax on it panic and MarshalBinary, Clone and UnionWith
-// refuse it. Unlike Snapshot it leaves a's words unshared, so a's next
-// write pays no copy. The estimates-only views of the serving path carry
-// one of these.
+// refuse it. The estimates-only views of the serving path carry one of
+// these.
 func (a *Array) Stats() *Array {
 	return &Array{size: a.size, width: a.width, maxVal: a.maxVal,
 		zeros: a.zeros, exact: a.exact, scaled: a.scaled}
@@ -227,18 +202,6 @@ func (a *Array) HasWords() bool { return len(a.words) > 0 }
 
 // errStatsOnly is returned by the operations a Stats copy cannot serve.
 var errStatsOnly = errors.New("regarray: statistics-only copy holds no registers")
-
-// detach gives a a private copy of the backing words if a snapshot may still
-// alias them. Called before every register write.
-func (a *Array) detach() {
-	if !a.shared {
-		return
-	}
-	w := make([]uint64, len(a.words))
-	copy(w, a.words)
-	a.words = w
-	a.shared = false
-}
 
 // Audit recomputes the zero count (and, in exact mode, the scaled harmonic
 // sum) from the packed words, repairs the maintained values, and returns an
@@ -267,10 +230,10 @@ func (a *Array) Audit() error {
 	return err
 }
 
-// Clone returns a deep copy (eager, unlike Snapshot's lazy copy-on-write).
-// It panics on a Stats copy, which has no registers to copy: a clone is a
-// mutable array, and one built from statistics alone would be a sketch
-// that silently forgot every register.
+// Clone returns a deep copy, the only copy of an array that keeps its
+// registers. It panics on a Stats copy, which has no registers to copy: a
+// clone is a mutable array, and one built from statistics alone would be a
+// sketch that silently forgot every register.
 func (a *Array) Clone() *Array {
 	if !a.HasWords() {
 		panic(errStatsOnly.Error())
@@ -338,7 +301,6 @@ func (a *Array) UnmarshalBinary(data []byte) error {
 	a.width = width
 	a.maxVal = maxVal
 	a.exact = maxVal < 64 && uint64(size) <= math.MaxUint64>>uint(maxVal)
-	a.shared = false // freshly allocated words; no snapshot aliases them
-	_ = a.Audit()    // recompute maintained statistics
+	_ = a.Audit() // recompute maintained statistics
 	return nil
 }

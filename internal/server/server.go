@@ -43,7 +43,8 @@
 // checkpoint writer and the merged /total read the array words, which
 // published views do not carry: they take a full cut
 // (streamcard.Sharded.FullSnapshot) that holds the shard locks only while
-// its O(1) forks are taken, so a slow checkpoint fsync still holds no
+// it copies each shard's current-generation array (the sealed generations
+// are shared, never copied), so a slow checkpoint fsync still holds no
 // sketch lock. The write path — shard
 // executors and epoch rotation — is the only lock domain left: rotation
 // is a quiesce cut over the whole pipeline (the ingest gate excludes new
@@ -863,12 +864,13 @@ func (s *Server) rotate() {
 // Checkpoint freezes the full windowed state of every shard from a
 // Sharded.FullSnapshot cut (one epoch; each shard a valid frozen prefix of
 // its own sub-stream, arrays included) and writes it atomically to the
-// spool. Without a WAL, the cut holds every shard lock only while the O(1)
-// copy-on-write forks are taken, so it waits at most for the absorbs in
-// flight; the marshal and the disk write run with no sketch lock held, so
-// a slow fsync cannot stall ingest or rotation. Each shard's next write
-// then pays one copy of its current generation's array — once per
-// checkpoint, not per batch. No-op without a spool directory. Checkpoints
+// spool. Without a WAL, the cut holds every shard lock while it copies each
+// shard's current-generation array — once per checkpoint, not per batch,
+// about a millisecond at the default shape — and shares the sealed
+// generations, so it waits at most for the absorbs in flight plus those
+// copies; the marshal and the disk write run with no sketch lock held, so
+// a slow fsync cannot stall ingest or rotation. No-op without a spool
+// directory. Checkpoints
 // are serialized by ckptMu so two concurrent calls (POST /checkpoint vs the
 // periodic ticker) cannot rename out of order and leave the older snapshot
 // as current.ckpt. Every failure, from any caller, counts into
@@ -1238,13 +1240,11 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 // instead: the shard sketches merged register-by-register into one sketch
 // (lower variance, since shared-seed shards overlap coherently), a fold
 // over every live generation that costs milliseconds at serving sizes.
-// The published snapshot carries no array words, so each merged request
-// merges a full cut (Sharded.FullSnapshot) taken then. If the merge
-// reports an error (the shards share one seed and rotate in lockstep, so
-// none is expected) the merged request falls back to the sum and says so
-// in "method"; an unknown method is a 400. The reported epoch is the
-// snapshot's: exactly the summed total's epoch, while a rotation racing a
-// merged request can put its full cut one epoch later.
+// The published snapshot carries no array words, so a merged request
+// takes one full cut (Sharded.FullSnapshot) and reads the union total,
+// the epoch and, if the merge reports an error (the shards share one seed
+// and rotate in lockstep, so none is expected), the summed fallback all
+// from it; the fallback says so in "method". An unknown method is a 400.
 func (s *Server) handleTotal(w http.ResponseWriter, r *http.Request) {
 	method := r.URL.Query().Get("method")
 	if method == "" {
@@ -1254,16 +1254,18 @@ func (s *Server) handleTotal(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "bad method %q: want summed or merged", method)
 		return
 	}
-	v := s.sh.Snapshot()
+	var v *streamcard.ShardedView
 	var total float64
 	if method == "merged" {
 		start := time.Now()
+		v = s.sh.FullSnapshot()
 		var err error
 		if total, err = v.TotalDistinctMerged(); err != nil {
 			total, method = v.TotalDistinct(), "summed"
 		}
 		s.observeAnalytics("merged_total", start)
 	} else {
+		v = s.sh.Snapshot()
 		total = v.TotalDistinct()
 	}
 	var buf [96]byte
@@ -1315,7 +1317,7 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 // published snapshot, so NO sketch lock is held for its duration: a
 // stalled or slow reader cannot stall ingest, rotation, or other queries
 // at all. How long a dead client may pin the snapshot (and its
-// copy-on-write arrays) and the handler goroutine is the serving
+// copy-on-write per-user tables) and the handler goroutine is the serving
 // http.Server's WriteTimeout (cardserved's -write-timeout).
 // limit=0 is the pure count query and skips the sorted enumeration
 // entirely.

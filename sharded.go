@@ -40,7 +40,7 @@ import (
 // fresh fork before it releases the shard lock, and Rotate republishes the
 // next epoch whole. Checkpoints and the merged total read the array words,
 // which published views do not carry; they take a FullSnapshot cut, which
-// briefly holds every shard lock.
+// holds every shard lock while it copies each shard's current array.
 type Sharded struct {
 	shards []shard
 	seed   uint64
@@ -226,8 +226,8 @@ func (s *Sharded) MemoryBits() int64 {
 // totals and needs no compatibility. Windowed shards are merged generation
 // by generation at their common epoch. Safe for concurrent use. Each call
 // merges a FullSnapshot cut taken then, so it never arms publication;
-// taking the cut holds every shard lock briefly, so the call must not run
-// under them (a WithOnRetire hook).
+// the cut holds every shard lock while it copies each shard's current
+// array, so the call must not run under them (a WithOnRetire hook).
 func (s *Sharded) TotalDistinctMerged() (float64, error) {
 	return mergedTotal(s.FullSnapshot().views)
 }

@@ -19,9 +19,9 @@ package streamcard
 // Published forks are estimates-only (each shard's layer view): its
 // per-user table forked copy-on-write plus its array's maintained
 // statistics, never the array words, so publishing on every write costs
-// the writer no array copy. The two readers of array words — checkpoints and the merged union
-// total — take FullSnapshot, an unpublished cut of full copy-on-write
-// forks, at their own cadence.
+// the writer no array copy. The two readers of array words — checkpoints
+// and the merged union total — take FullSnapshot, an unpublished cut that
+// copies each shard's current array, at their own cadence.
 //
 // Consistency: each slot of a view is a valid frozen prefix of its own
 // shard's sub-stream (users partition across shards, so there is no
@@ -43,6 +43,7 @@ package streamcard
 type ShardedView struct {
 	parent *Sharded
 	views  []layer
+	full   bool // a FullSnapshot cut: every slot keeps its array words
 }
 
 // Snapshot returns the stack's published view; it is never nil. Once
@@ -118,19 +119,21 @@ func (s *Sharded) cutLocked(fork func(layer) layer) *ShardedView {
 }
 
 // FullSnapshot returns an unpublished cut across every shard whose forks
-// keep their array words — each shard's full copy-on-write Snapshot. It is
-// never nil. Published views (Snapshot) are estimates-only; the two
+// keep their array words — each shard's full fork (a window's current
+// generation forked with its array copied, its sealed generations shared).
+// It is never nil. Published views (Snapshot) are estimates-only; the two
 // readers of array words take this cut instead: a checkpoint, which
 // serializes the arrays, and ShardedView.TotalDistinctMerged, which unions
-// them. The cut holds every shard lock (in ascending order) while the O(1)
-// forks are taken, so it waits at most for the absorbs in flight and always
-// freezes one epoch. Each shard then pays one array copy, on its next write
-// to the current generation; take the cut at checkpoint cadence, not per
-// query.
+// them. The cut holds every shard lock (in ascending order) while it copies
+// each shard's current array, so it waits at most for the absorbs in
+// flight plus those copies, always freezes one epoch, and leaves no copy
+// for a later write; take it at checkpoint cadence, not per query.
 func (s *Sharded) FullSnapshot() *ShardedView {
 	s.lockAll()
 	defer s.unlockAll()
-	return s.cutLocked(layer.cut)
+	v := s.cutLocked(layer.cut)
+	v.full = true
+	return v
 }
 
 // NumShards returns the number of per-shard views.
@@ -241,17 +244,23 @@ func (v *ShardedView) NumUsers() int {
 	return total
 }
 
-// TotalDistinctMerged returns the parent's Sharded.TotalDistinctMerged: the
-// shard sketches merged into one union sketch and its array-derived,
-// low-variance total. A published view holds no array words, so each call
-// merges a FullSnapshot cut of the parent taken then: at least as fresh as
-// the view, it may include writes that landed after the view was
-// published. Taking the cut holds every shard lock briefly, so the call
-// must not run under them (a WithOnRetire hook). Identically built shards
-// (shared seed) are required, and windowed shards must sit at one epoch;
-// otherwise the merge reports ErrIncompatible.
+// TotalDistinctMerged returns the shard sketches merged into one union
+// sketch and its array-derived, low-variance total. On a FullSnapshot cut
+// it merges the cut's own shards, so the total, the cut's TotalDistinct and
+// its Epoch describe one instant, and the call takes no lock. A published
+// view holds no array words, so there it returns the parent's
+// Sharded.TotalDistinctMerged, which merges a FullSnapshot cut taken then:
+// at least as fresh as the view, it may include writes and rotations that
+// landed after the view was published. That cut holds every shard lock
+// while it copies each shard's current array, so the call must not run
+// under them (a WithOnRetire hook).
+// Identically built shards (shared seed) are required, and windowed shards
+// must sit at one epoch; otherwise the merge reports ErrIncompatible.
 func (v *ShardedView) TotalDistinctMerged() (float64, error) {
-	return v.parent.TotalDistinctMerged()
+	if !v.full {
+		return v.parent.TotalDistinctMerged()
+	}
+	return mergedTotal(v.views)
 }
 
 // mergedTotal clones the first of a full cut's shard forks, merges the rest

@@ -258,6 +258,46 @@ func TestShardedSnapshotPublished(t *testing.T) {
 	}
 }
 
+// TestFullSnapshotMergedTotalIsTheCuts: a FullSnapshot cut's merged total
+// is the cut's own, so its total, its summed total and its epoch describe
+// one instant. After the cut the parent is written and rotated; the cut
+// must still answer exactly what a twin stopped at the cut answers.
+func TestFullSnapshotMergedTotalIsTheCuts(t *testing.T) {
+	s, twin := tortureStack(4, 3), tortureStack(4, 3)
+	rng := hashing.NewRNG(12)
+	for i := 0; i < 3; i++ {
+		b := randomBatch(rng, 8192)
+		s.ObserveBatch(b)
+		twin.ObserveBatch(b)
+		s.Rotate()
+		twin.Rotate()
+	}
+	b := randomBatch(rng, 4096)
+	s.ObserveBatch(b)
+	twin.ObserveBatch(b)
+
+	cut := s.FullSnapshot()
+	s.ObserveBatch(randomBatch(rng, 8192))
+	s.Rotate()
+	s.ObserveBatch(randomBatch(rng, 1024))
+
+	got, err := cut.TotalDistinctMerged()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := twin.TotalDistinctMerged()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Fatalf("cut's merged total %v, twin stopped at the cut %v", got, want)
+	}
+	if cut.TotalDistinct() != twin.TotalDistinct() || cut.Epoch() != twin.Snapshot().Epoch() {
+		t.Fatalf("cut reads total %v at epoch %d, twin %v at epoch %d",
+			cut.TotalDistinct(), cut.Epoch(), twin.TotalDistinct(), twin.Snapshot().Epoch())
+	}
+}
+
 // TestShardedSnapshotDistinctSeeds: with the customary distinct per-shard
 // seeds the merged total stays ErrIncompatible — served from the view, the
 // error contract is unchanged.

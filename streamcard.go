@@ -126,13 +126,15 @@ func rangeUsers(est AnytimeEstimator, fn func(user uint64, estimate float64)) {
 // FreeBS, FreeRS and Windowed (over either) implement it, so a Windowed
 // generation, a Sharded shard and a ShardedView slot are each a layer, and
 // the stack reaches them through these methods instead of switching on
-// their types. The two forks are O(1) and must be serialized with writers
-// (callers take them under the lock that guards Observe); reads of a fork
-// are then lock-free. view is the estimates-only fork the read path
-// publishes: its estimate reads equal a full fork's bit for bit, but it
-// has no array words, so MarshalBinary errors, merge from it reports
-// ErrIncompatible and clone panics. cut is the full copy-on-write fork
-// that checkpoints and merged totals read.
+// their types. The two forks must be serialized with writers (callers take
+// them under the lock that guards Observe); reads of a fork are then
+// lock-free. view is the O(1) estimates-only fork the read path publishes:
+// its estimate reads equal a full fork's bit for bit, but it has no array
+// words, so MarshalBinary errors, merge from it reports ErrIncompatible
+// and clone panics. cut is the full fork that checkpoints and merged
+// totals read: it copies the one array a writer can still change (a
+// window's current generation's) and shares the rest, the per-user tables
+// copy-on-write and a window's sealed generations by reference.
 type layer interface {
 	AnytimeEstimator
 	UserRanger
@@ -140,7 +142,7 @@ type layer interface {
 	encoding.BinaryUnmarshaler
 	// view returns the estimates-only fork, never nil.
 	view() layer
-	// cut returns the full copy-on-write fork, never nil.
+	// cut returns the full fork, never nil.
 	cut() layer
 	// clone returns an independent deep copy.
 	clone() layer
@@ -228,11 +230,12 @@ func (f *FreeBS) Merge(other *FreeBS) error {
 // Clone returns an independent deep copy of f.
 func (f *FreeBS) Clone() *FreeBS { return &FreeBS{inner: f.inner.Clone()} }
 
-// Snapshot returns an O(1) copy-on-write fork of f, logically frozen at the
-// current state: every read on it (estimates, totals, Users, TopK,
-// checkpointing) behaves exactly like a deep Clone taken at the same
-// instant, but nothing is copied until the parent's next write touches a
-// shared array. Serialize the call with writers; reads of the snapshot are
+// Snapshot returns a full fork of f, logically frozen at the current
+// state: every read on it (estimates, totals, Users, TopK, checkpointing)
+// behaves exactly like a deep Clone taken at the same instant. It copies
+// the shared bit array at once and shares the per-user table
+// copy-on-write, so the parent's next write pays one table copy and no
+// array copy. Serialize the call with writers; reads of the snapshot are
 // then lock-free.
 func (f *FreeBS) Snapshot() *FreeBS { return &FreeBS{inner: f.inner.Snapshot()} }
 
@@ -313,8 +316,9 @@ func (f *FreeRS) Merge(other *FreeRS) error {
 // Clone returns an independent deep copy of f.
 func (f *FreeRS) Clone() *FreeRS { return &FreeRS{inner: f.inner.Clone()} }
 
-// Snapshot returns an O(1) copy-on-write fork of f, logically frozen at the
-// current state; see FreeBS.Snapshot for the contract.
+// Snapshot returns a full fork of f, logically frozen at the current
+// state: the register array copied, the per-user table shared
+// copy-on-write; see FreeBS.Snapshot for the contract.
 func (f *FreeRS) Snapshot() *FreeRS { return &FreeRS{inner: f.inner.Snapshot()} }
 
 // Estimate implements Estimator.

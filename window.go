@@ -37,13 +37,15 @@ import (
 //
 // The write path is the only lock domain: every read (Estimate,
 // TotalDistinct, Users, NumUsers, TopK over the window) is served from an
-// estimates-only snapshot view — every live generation's per-user table
-// forked copy-on-write, logically frozen as one consistent (generations,
-// epoch) cut — so a long user enumeration never holds the window lock, and
-// a rotation makes the next read build the next epoch's view instead of
-// quiescing readers. A view is itself a frozen *Windowed: its reads take no
-// lock, so readers sharing it never wait on each other, and every mutator
-// panics on it. See Snapshot for the mechanism and the freshness contract.
+// estimates-only snapshot view — the current generation's per-user table
+// forked copy-on-write and the sealed generations themselves, which
+// nothing writes again before they retire, logically frozen as one
+// consistent (generations, epoch) cut — so a long user enumeration never
+// holds the window lock, and a rotation makes the next read build the next
+// epoch's view instead of quiescing readers. A view is itself a frozen
+// *Windowed: its reads take no lock, so readers sharing it never wait on
+// each other, and every mutator panics on it. See Snapshot for the
+// mechanism and the freshness contract.
 //
 // Windowed also supports Users/NumUsers (so TopK and SpreaderDetector run on
 // windows), generation-wise Merge/Clone, and MarshalBinary/UnmarshalBinary
@@ -108,11 +110,12 @@ func WithRotateEveryEdges(n uint64) WindowedOption {
 // history is discarded, instead of losing it silently. fn runs under the
 // window's internal lock on whichever goroutine triggered the rotation, so
 // it must be fast and must not call back into the Windowed or the Sharded
-// wrapping it (the locks are not reentrant); querying the retired generation
-// itself is safe — nothing else references it anymore. Rotations before the
-// window is full retire nothing (the window is still growing), and
-// restore-from-checkpoint replaces generations without retiring them. Clones
-// inherit the hook.
+// wrapping it (the locks are not reentrant). fn may only read the retired
+// generation: views and cuts taken before the rotation share it and may
+// still be reading it, so fn must not write, merge into or restore it.
+// Rotations before the window is full retire nothing (the window is still
+// growing), and restore-from-checkpoint replaces generations without
+// retiring them. Clones inherit the hook.
 func WithOnRetire(fn func(retired Estimator)) WindowedOption {
 	return func(c *windowedConfig) { c.onRetire = fn }
 }
@@ -160,20 +163,21 @@ func NewWindowed(build func() Estimator, opts ...WindowedOption) *Windowed {
 }
 
 // Snapshot returns an O(1), logically frozen, estimates-only view of the
-// whole window — every live generation's per-user table forked
-// copy-on-write plus its array statistics, and the epoch bookkeeping; it is
-// never nil. The view is itself a *Windowed, so every estimate read
-// (Estimate, TotalDistinct, Users, RangeUsers, NumUsers, TopK) works on it
-// unchanged and equals the live window's at the same instant bit for bit,
-// with no synchronization against ongoing ingestion, and readers of one
-// view never lock or wait on each other. A view's Snapshot is the view
-// itself. The view is immutable: Observe, ObserveBatch, Rotate,
-// UnmarshalBinary and Merge into it panic. It carries no array words:
-// MarshalBinary on it returns an error, Merge from it reports
-// ErrIncompatible, and Clone panics. Checkpoint and merge the live
-// Windowed instead, or a Sharded.FullSnapshot cut. Taking the view leaves
-// the arrays unshared, so the writer's next write pays at most a copy of
-// the current generation's per-user table, never of its array.
+// whole window — the current generation's per-user table forked
+// copy-on-write plus its array statistics, the sealed generations
+// themselves (shared, since nothing writes them again before they retire),
+// and the epoch bookkeeping; it is never nil. The view is itself a
+// *Windowed, so every estimate read (Estimate, TotalDistinct, Users,
+// RangeUsers, NumUsers, TopK) works on it unchanged and equals the live
+// window's at the same instant bit for bit, with no synchronization against
+// ongoing ingestion, and readers of one view never lock or wait on each
+// other. A view's Snapshot is the view itself. The view is immutable:
+// Observe, ObserveBatch, Rotate, UnmarshalBinary and Merge into it panic.
+// It carries no array words: MarshalBinary on it returns an error, Merge
+// from it reports ErrIncompatible, and Clone panics. Checkpoint and merge
+// the live Windowed instead, or a Sharded.FullSnapshot cut. Taking the view
+// copies no array, and the writer's next write pays at most a copy of the
+// current generation's per-user table; the view costs the same at any k.
 //
 // The view is cached: while nothing writes the window, repeated calls
 // return the same view via one atomic load. Every write, rotation and
@@ -210,27 +214,28 @@ func (w *Windowed) Snapshot() *Windowed {
 	return v
 }
 
-// fullSnapshot is Snapshot's full twin: every live generation forked
-// copy-on-write with its array words (FreeBS/FreeRS Snapshot), so
-// MarshalBinary and merges work on it. It is never cached: each call
-// marks the generations' arrays shared, and the writer's next write copies
-// the current generation's array once (older generations are never written
-// again). Only the full cuts behind checkpoints and merged totals take it.
+// fullSnapshot is Snapshot's full twin: the current generation's full fork
+// (FreeBS/FreeRS Snapshot, which copies its array) and the sealed
+// generations shared, so MarshalBinary and merges work on it. It is never
+// cached: each call copies one array under the window lock and leaves the
+// writer nothing to copy. Only the full cuts behind checkpoints and merged
+// totals take it.
 func (w *Windowed) fullSnapshot() *Windowed {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return w.freezeLocked(layer.cut)
 }
 
-// freezeLocked returns a view holding fork applied to every live
-// generation and the epoch's sealed fold. The caller holds the window
-// lock, so the forks and the epoch bookkeeping describe one instant.
+// freezeLocked returns a view holding fork of the current generation, the
+// sealed generations themselves and the epoch's sealed fold. The caller
+// holds the window lock, so the fork and the epoch bookkeeping describe one
+// instant. Sharing gens[1:] is safe because nothing writes a sealed
+// generation: feeds write only gens[0], rotation and install move or
+// replace pointers, and merge writes only private deep clones.
 func (w *Windowed) freezeLocked(fork func(layer) layer) *Windowed {
 	v := &Windowed{build: w.build, cfg: w.cfg, name: w.name, frozen: true,
-		gens: make([]layer, len(w.gens)), epoch: w.epoch, edges: w.edges, fold: w.fold}
-	for i, g := range w.gens {
-		v.gens[i] = fork(g)
-	}
+		gens: slices.Clone(w.gens), epoch: w.epoch, edges: w.edges, fold: w.fold}
+	v.gens[0] = fork(w.gens[0])
 	return v
 }
 
@@ -434,7 +439,7 @@ func (w *Windowed) NumUsers() int {
 // distinct-user counts want NumUsers. Deliberately NOT snapshot-routed:
 // the whole point of this reading is that a periodic scrape costs O(k)
 // counter loads under a brief window-lock hold — building a view here
-// would make every scrape mark the live per-user tables shared and bill
+// would make every scrape mark the current per-user table shared and bill
 // the writer a fresh copy-on-write detach for a gauge.
 func (w *Windowed) UserEntries() int {
 	w.lock()
@@ -655,10 +660,10 @@ func (w *Windowed) Clone() *Windowed {
 
 // MarshalBinary serializes every live generation plus the epoch bookkeeping
 // through the versioned window envelope in internal/core. On a live window
-// it serializes a full copy-on-write cut (fullSnapshot), so it is safe
-// against concurrent writers, and the writer's next write pays one array
-// copy, as after a checkpoint cut. It fails on an estimates-only view from
-// Snapshot, which has no array words to write.
+// it serializes a full cut (fullSnapshot), so it is safe against concurrent
+// writers and holds the window lock only while the cut copies the current
+// generation's array. It fails on an estimates-only view from Snapshot,
+// which has no array words to write.
 func (w *Windowed) MarshalBinary() ([]byte, error) {
 	v := w
 	if !w.frozen {
