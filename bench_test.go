@@ -457,8 +457,9 @@ func BenchmarkShardedBatch(b *testing.B) {
 
 // BenchmarkWindowedObserve compares the windowed ingest path against the
 // bare estimator on the same bursty workload, per edge and per 1k-edge
-// batch, at k ∈ {2, 4} with edge-driven rotation. CI's benchmark smoke runs
-// it once per commit.
+// batch, at k ∈ {2, 4} with edge-driven rotation; observe+estimate reads
+// the user's estimate after each edge, the paper's anytime pattern. CI's
+// benchmark smoke runs it once per commit.
 func BenchmarkWindowedObserve(b *testing.B) {
 	edges := benchBurstEdges(1<<16, 4)
 	mask := len(edges) - 1
@@ -485,6 +486,15 @@ func BenchmarkWindowedObserve(b *testing.B) {
 				est.Observe(e.User, e.Item)
 			}
 		})
+		b.Run(bl.name+"/observe+estimate", func(b *testing.B) {
+			est := bl.mk()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				e := edges[i&mask]
+				est.Observe(e.User, e.Item)
+				sinkFloat = est.Estimate(e.User)
+			}
+		})
 		b.Run(bl.name+"/batch1k", func(b *testing.B) {
 			est := bl.mk()
 			const chunk = 1024
@@ -500,6 +510,9 @@ func BenchmarkWindowedObserve(b *testing.B) {
 		})
 	}
 }
+
+// sinkFloat keeps a benchmarked read from being optimized away.
+var sinkFloat float64
 
 // BenchmarkWindowedRotate measures one epoch boundary on a loaded window:
 // allocate a fresh generation, age the live ones, retire the oldest.

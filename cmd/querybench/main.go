@@ -246,9 +246,10 @@ func pointReads(batches [][]streamcard.Edge) (estimate, total []float64) {
 				_ = s.NumUsers()
 			case now.Sub(lastMerged) >= mergedTotalEvery:
 				lastMerged = now
-				// The union reading (/total?method=merged), with the
-				// server's fallback to the sum on a merge error.
-				v := s.Snapshot()
+				// The union reading (/total?method=merged) as the server
+				// takes it: one full cut, merged, with the fallback to the
+				// cut's sum on a merge error.
+				v := s.FullSnapshot()
 				if _, err := v.TotalDistinctMerged(); err != nil {
 					_ = v.TotalDistinct()
 				}
@@ -265,6 +266,11 @@ func pointReads(batches [][]streamcard.Edge) (estimate, total []float64) {
 			defer queryWG.Done()
 			rng := hashing.NewRNG(seed)
 			var est, tot []float64
+			// Reads fall due on a fixed schedule rather than a fixed sleep
+			// after each read: a querier the scheduler wakes late reads
+			// again at once, so host load cannot thin the samples below
+			// the floor.
+			due := time.Now()
 			for i := 0; !done.Load(); i++ {
 				t0 := time.Now()
 				if i%2 == 0 {
@@ -274,7 +280,8 @@ func pointReads(batches [][]streamcard.Edge) (estimate, total []float64) {
 					_ = s.Snapshot().TotalDistinct()
 					tot = append(tot, float64(time.Since(t0).Microseconds()))
 				}
-				time.Sleep(interval)
+				due = due.Add(interval)
+				time.Sleep(time.Until(due))
 			}
 			latMu.Lock()
 			estimate, total = append(estimate, est...), append(total, tot...)

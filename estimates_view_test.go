@@ -177,6 +177,86 @@ func TestSnapshotAfterWriteAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestLivePointReadsCopyNothing pins the anytime pattern on a standalone
+// Windowed: Estimate and TotalDistinct sum the live generations under the
+// window lock, so a read between two writes forks nothing and the next
+// write has no table to copy. A read that forked a view would make each
+// following Observe copy the current per-user table (512 KB here), so 64
+// write-read rounds must allocate less than one table in all, measured
+// with the isolation TestSnapshotAfterWriteAllocatesNothing uses. Every
+// live read also equals, bit for bit, the same read on a Snapshot taken
+// at that point, before and after a rotation.
+func TestLivePointReadsCopyNothing(t *testing.T) {
+	const users = 24_000 // fills a 32,768-slot table: 512 KB
+	for _, tc := range []struct {
+		name  string
+		build func() Estimator
+	}{
+		{"FreeRS", func() Estimator { return NewFreeRS(1<<22, WithSeed(9)) }},
+		{"FreeBS", func() Estimator { return NewFreeBS(1<<22, WithSeed(9)) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w := NewWindowed(tc.build, WithGenerations(4))
+			rng := hashing.NewRNG(17)
+			load := func(n uint64) {
+				edges := make([]Edge, 0, 2*n)
+				for u := uint64(1); u <= n; u++ {
+					edges = append(edges, Edge{User: u, Item: rng.Uint64()}, Edge{User: u, Item: rng.Uint64()})
+				}
+				w.ObserveBatch(edges)
+			}
+			for g := 1; g < 4; g++ { // sealed generations hold users too
+				load(users / 8)
+				w.Rotate()
+			}
+			load(users)
+			var table uint64
+			switch g := w.gens[0].(type) {
+			case *FreeRS:
+				table = uint64(g.inner.PerUserBytes())
+			case *FreeBS:
+				table = uint64(g.inner.PerUserBytes())
+			}
+			if table < 512<<10 {
+				t.Fatalf("current table holds %d B, want at least 512 KB", table)
+			}
+
+			func() {
+				runtime.GC()
+				defer debug.SetGCPercent(debug.SetGCPercent(-1))
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+				got := allocBytes(func() {
+					for i := 0; i < 64; i++ {
+						u := uint64(i + 1)
+						w.Observe(u, rng.Uint64())
+						_ = w.Estimate(u)
+						_ = w.TotalDistinct()
+					}
+				})
+				if got >= table {
+					t.Fatalf("64 Observe+Estimate+TotalDistinct rounds allocated %d B, want < %d (one table)", got, table)
+				}
+			}()
+
+			for i := 0; i < 16; i++ {
+				if i == 8 {
+					w.Rotate()
+				}
+				u := uint64(i*331%users + 1)
+				w.Observe(u, rng.Uint64())
+				est, total := w.Estimate(u), w.TotalDistinct()
+				v := w.Snapshot()
+				if math.Float64bits(est) != math.Float64bits(v.Estimate(u)) {
+					t.Fatalf("round %d: live Estimate(%d) = %v, a Snapshot's %v", i, u, est, v.Estimate(u))
+				}
+				if math.Float64bits(total) != math.Float64bits(v.TotalDistinct()) {
+					t.Fatalf("round %d: live TotalDistinct = %v, a Snapshot's %v", i, total, v.TotalDistinct())
+				}
+			}
+		})
+	}
+}
+
 // sketchStats returns the array-derived readings of a FreeBS/FreeRS (for a
 // Windowed, of every live generation in order): the running total, the
 // array's own total and the change probability.
@@ -236,12 +316,12 @@ func TestEstimatesOnlyViewsExactAndLoud(t *testing.T) {
 		{"FreeBS", func() (Estimator, Estimator, func(Estimator) error) {
 			f := NewFreeBS(bits, WithSeed(5))
 			f.ObserveBatch(randomBatch(hashing.NewRNG(21), 12000))
-			return f.Snapshot(), f.view(), func(src Estimator) error { return f.Clone().Merge(src.(*FreeBS)) }
+			return f.cut(), f.view(), func(src Estimator) error { return f.Clone().Merge(src.(*FreeBS)) }
 		}},
 		{"FreeRS", func() (Estimator, Estimator, func(Estimator) error) {
 			f := NewFreeRS(bits, WithSeed(5))
 			f.ObserveBatch(randomBatch(hashing.NewRNG(21), 12000))
-			return f.Snapshot(), f.view(), func(src Estimator) error { return f.Clone().Merge(src.(*FreeRS)) }
+			return f.cut(), f.view(), func(src Estimator) error { return f.Clone().Merge(src.(*FreeRS)) }
 		}},
 		{"Windowed(FreeBS)", func() (Estimator, Estimator, func(Estimator) error) {
 			w := windowed(func() Estimator { return NewFreeBS(bits, WithSeed(5)) })

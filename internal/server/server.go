@@ -43,9 +43,9 @@
 // checkpoint writer and the merged /total read the array words, which
 // published views do not carry: they take a full cut
 // (streamcard.Sharded.FullSnapshot) that holds the shard locks only while
-// it copies each shard's current-generation array (the sealed generations
-// are shared, never copied), so a slow checkpoint fsync still holds no
-// sketch lock. The write path — shard
+// it copies each shard's current-generation array and per-user table (the
+// sealed generations are shared, never copied), so a slow checkpoint fsync
+// still holds no sketch lock. The write path — shard
 // executors and epoch rotation — is the only lock domain left: rotation
 // is a quiesce cut over the whole pipeline (the ingest gate excludes new
 // submissions, then the cut waits for every submitted batch to be fully
@@ -425,11 +425,12 @@ func New(cfg Config) (*Server, error) {
 			"Sub-batches waiting on this shard's executor queue.",
 			func() float64 { return float64(len(s.queues[i])) })
 		// UserEntries, not NumUsers: a scrape must not pay an O(users)
-		// merge map per shard every few seconds. Entries upper-bound users
-		// (one per generation a user is active in). UserEntries is the one
-		// deliberately non-snapshot read: O(k) counter loads under a brief
-		// hold of the window's lock, so a scrape neither blocks on a long
-		// read nor forces the writer into a fresh copy-on-write detach.
+		// walk per shard every few seconds. Entries upper-bound users (one
+		// per generation a user is active in). It reads the live window,
+		// not the published view, as a live window's point reads do: O(k)
+		// counter loads under a brief hold of the window's lock, so a
+		// scrape neither blocks on a long read nor forces the writer into
+		// a fresh copy-on-write detach.
 		s.reg.Gauge("cardserved_shard_user_entries", fmt.Sprintf(`shard="%d"`, i),
 			"Per-user estimate entries across the shard's live generations (upper bound on distinct users).",
 			func() float64 { return float64(s.wins[i].UserEntries()) })
@@ -865,15 +866,14 @@ func (s *Server) rotate() {
 // Sharded.FullSnapshot cut (one epoch; each shard a valid frozen prefix of
 // its own sub-stream, arrays included) and writes it atomically to the
 // spool. Without a WAL, the cut holds every shard lock while it copies each
-// shard's current-generation array — once per checkpoint, not per batch,
-// about a millisecond at the default shape — and shares the sealed
-// generations, so it waits at most for the absorbs in flight plus those
-// copies; the marshal and the disk write run with no sketch lock held, so
-// a slow fsync cannot stall ingest or rotation. No-op without a spool
-// directory. Checkpoints
-// are serialized by ckptMu so two concurrent calls (POST /checkpoint vs the
-// periodic ticker) cannot rename out of order and leave the older snapshot
-// as current.ckpt. Every failure, from any caller, counts into
+// shard's current-generation array and per-user table — once per
+// checkpoint, not per batch, a few milliseconds at the default shape — and
+// shares the sealed generations, so it waits at most for the absorbs in
+// flight plus those copies; the marshal and the disk write run with no
+// sketch lock held, so a slow fsync cannot stall ingest or rotation. No-op
+// without a spool directory. Checkpoints are serialized by ckptMu so two
+// concurrent calls (POST /checkpoint vs the periodic ticker) cannot rename
+// out of order and leave the older snapshot as current.ckpt. Every failure, from any caller, counts into
 // cardserved_checkpoint_failures_total.
 //
 // With the WAL on, the checkpoint is also a log truncation point, which

@@ -40,7 +40,8 @@ import (
 // fresh fork before it releases the shard lock, and Rotate republishes the
 // next epoch whole. Checkpoints and the merged total read the array words,
 // which published views do not carry; they take a FullSnapshot cut, which
-// holds every shard lock while it copies each shard's current array.
+// holds every shard lock while it copies each shard's current array and
+// per-user table.
 type Sharded struct {
 	shards []shard
 	seed   uint64

@@ -21,7 +21,8 @@ package streamcard
 // statistics, never the array words, so publishing on every write costs
 // the writer no array copy. The two readers of array words — checkpoints
 // and the merged union total — take FullSnapshot, an unpublished cut that
-// copies each shard's current array, at their own cadence.
+// copies each shard's current array and per-user table, at their own
+// cadence.
 //
 // Consistency: each slot of a view is a valid frozen prefix of its own
 // shard's sub-stream (users partition across shards, so there is no
@@ -119,15 +120,16 @@ func (s *Sharded) cutLocked(fork func(layer) layer) *ShardedView {
 }
 
 // FullSnapshot returns an unpublished cut across every shard whose forks
-// keep their array words — each shard's full fork (a window's current
-// generation forked with its array copied, its sealed generations shared).
-// It is never nil. Published views (Snapshot) are estimates-only; the two
-// readers of array words take this cut instead: a checkpoint, which
-// serializes the arrays, and ShardedView.TotalDistinctMerged, which unions
-// them. The cut holds every shard lock (in ascending order) while it copies
-// each shard's current array, so it waits at most for the absorbs in
-// flight plus those copies, always freezes one epoch, and leaves no copy
-// for a later write; take it at checkpoint cadence, not per query.
+// keep their array words — each shard's full fork (a sketch's clone; for a
+// window, a clone of its current generation and its sealed generations
+// shared). It is never nil. Published views (Snapshot) are estimates-only;
+// the two readers of array words take this cut instead: a checkpoint,
+// which serializes the arrays, and ShardedView.TotalDistinctMerged, which
+// unions them. The cut holds every shard lock (in ascending order) while
+// it copies each shard's current array and per-user table, so it waits at
+// most for the absorbs in flight plus those copies, always freezes one
+// epoch, and leaves no copy for a later write; take it at checkpoint
+// cadence, not per query.
 func (s *Sharded) FullSnapshot() *ShardedView {
 	s.lockAll()
 	defer s.unlockAll()
@@ -252,8 +254,8 @@ func (v *ShardedView) NumUsers() int {
 // Sharded.TotalDistinctMerged, which merges a FullSnapshot cut taken then:
 // at least as fresh as the view, it may include writes and rotations that
 // landed after the view was published. That cut holds every shard lock
-// while it copies each shard's current array, so the call must not run
-// under them (a WithOnRetire hook).
+// while it copies each shard's current array and table, so the call must
+// not run under them (a WithOnRetire hook).
 // Identically built shards (shared seed) are required, and windowed shards
 // must sit at one epoch; otherwise the merge reports ErrIncompatible.
 func (v *ShardedView) TotalDistinctMerged() (float64, error) {

@@ -129,12 +129,13 @@ func rangeUsers(est AnytimeEstimator, fn func(user uint64, estimate float64)) {
 // their types. The two forks must be serialized with writers (callers take
 // them under the lock that guards Observe); reads of a fork are then
 // lock-free. view is the O(1) estimates-only fork the read path publishes:
-// its estimate reads equal a full fork's bit for bit, but it has no array
-// words, so MarshalBinary errors, merge from it reports ErrIncompatible
-// and clone panics. cut is the full fork that checkpoints and merged
-// totals read: it copies the one array a writer can still change (a
-// window's current generation's) and shares the rest, the per-user tables
-// copy-on-write and a window's sealed generations by reference.
+// the per-user table forked copy-on-write plus the array's statistics,
+// never its words, so its estimate reads equal the live sketch's bit for
+// bit, but MarshalBinary errors, merge from it reports ErrIncompatible and
+// clone panics. cut is the full fork that checkpoints and merged totals
+// read: it copies what a writer can still change — a sketch's array and
+// per-user table (its Clone), a window's current generation — and shares
+// a window's sealed generations by reference.
 type layer interface {
 	AnytimeEstimator
 	UserRanger
@@ -230,15 +231,6 @@ func (f *FreeBS) Merge(other *FreeBS) error {
 // Clone returns an independent deep copy of f.
 func (f *FreeBS) Clone() *FreeBS { return &FreeBS{inner: f.inner.Clone()} }
 
-// Snapshot returns a full fork of f, logically frozen at the current
-// state: every read on it (estimates, totals, Users, TopK, checkpointing)
-// behaves exactly like a deep Clone taken at the same instant. It copies
-// the shared bit array at once and shares the per-user table
-// copy-on-write, so the parent's next write pays one table copy and no
-// array copy. Serialize the call with writers; reads of the snapshot are
-// then lock-free.
-func (f *FreeBS) Snapshot() *FreeBS { return &FreeBS{inner: f.inner.Snapshot()} }
-
 // Estimate implements Estimator.
 func (f *FreeBS) Estimate(user uint64) float64 { return f.inner.Estimate(user) }
 
@@ -267,7 +259,7 @@ func (f *FreeBS) Saturated() bool { return f.inner.Saturated() }
 
 // view, cut, clone and merge implement layer.
 func (f *FreeBS) view() layer  { return &FreeBS{inner: f.inner.SnapshotEstimates()} }
-func (f *FreeBS) cut() layer   { return f.Snapshot() }
+func (f *FreeBS) cut() layer   { return f.Clone() }
 func (f *FreeBS) clone() layer { return f.Clone() }
 
 func (f *FreeBS) merge(other layer) error {
@@ -316,11 +308,6 @@ func (f *FreeRS) Merge(other *FreeRS) error {
 // Clone returns an independent deep copy of f.
 func (f *FreeRS) Clone() *FreeRS { return &FreeRS{inner: f.inner.Clone()} }
 
-// Snapshot returns a full fork of f, logically frozen at the current
-// state: the register array copied, the per-user table shared
-// copy-on-write; see FreeBS.Snapshot for the contract.
-func (f *FreeRS) Snapshot() *FreeRS { return &FreeRS{inner: f.inner.Snapshot()} }
-
 // Estimate implements Estimator.
 func (f *FreeRS) Estimate(user uint64) float64 { return f.inner.Estimate(user) }
 
@@ -344,7 +331,7 @@ func (f *FreeRS) NumUsers() int { return f.inner.NumUsers() }
 
 // view, cut, clone and merge implement layer.
 func (f *FreeRS) view() layer  { return &FreeRS{inner: f.inner.SnapshotEstimates()} }
-func (f *FreeRS) cut() layer   { return f.Snapshot() }
+func (f *FreeRS) cut() layer   { return f.Clone() }
 func (f *FreeRS) clone() layer { return f.Clone() }
 
 func (f *FreeRS) merge(other layer) error {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/hashing"
@@ -35,17 +34,19 @@ import (
 // Sharded(Windowed(...)), built without WithRotateEveryEdges — and advance
 // all shards together with Sharded.Rotate.
 //
-// The write path is the only lock domain: every read (Estimate,
-// TotalDistinct, Users, NumUsers, TopK over the window) is served from an
-// estimates-only snapshot view — the current generation's per-user table
-// forked copy-on-write and the sealed generations themselves, which
-// nothing writes again before they retire, logically frozen as one
-// consistent (generations, epoch) cut — so a long user enumeration never
-// holds the window lock, and a rotation makes the next read build the next
-// epoch's view instead of quiescing readers. A view is itself a frozen
-// *Windowed: its reads take no lock, so readers sharing it never wait on
-// each other, and every mutator panics on it. See Snapshot for the
-// mechanism and the freshness contract.
+// Reads come in two kinds. A point read (Estimate, TotalDistinct) sums the
+// live generations under the window lock: O(k) probes, nothing forked, so
+// writes and point reads can alternate at per-edge cost. An enumeration
+// (Users, RangeUsers, NumUsers, TopK over the window) runs on a fresh
+// estimates-only view — the current generation's per-user table forked
+// copy-on-write and the sealed generations themselves, which nothing
+// writes again before they retire, logically frozen as one consistent
+// (generations, epoch) cut — so a long user enumeration never holds the
+// window lock. A view is itself a frozen *Windowed: its reads take no
+// lock, so readers sharing it never wait on each other, and every mutator
+// panics on it. A window caches no view; a serving stack keeps its one
+// published view in the Sharded above it. See Snapshot for the mechanism
+// and the freshness contract.
 //
 // Windowed also supports Users/NumUsers (so TopK and SpreaderDetector run on
 // windows), generation-wise Merge/Clone, and MarshalBinary/UnmarshalBinary
@@ -73,11 +74,6 @@ type Windowed struct {
 	// restore under mu, merge on the private clone it folds into. A view's
 	// never changes.
 	fold *sealedFold
-
-	// pub caches the estimates-only view Snapshot built last. Every
-	// mutation clears it under mu, so a non-nil pub always freezes the
-	// current state, and Snapshot serves it with one atomic load.
-	pub atomic.Pointer[Windowed]
 }
 
 type windowedConfig struct {
@@ -179,47 +175,38 @@ func NewWindowed(build func() Estimator, opts ...WindowedOption) *Windowed {
 // copies no array, and the writer's next write pays at most a copy of the
 // current generation's per-user table; the view costs the same at any k.
 //
-// The view is cached: while nothing writes the window, repeated calls
-// return the same view via one atomic load. Every write, rotation and
-// restore clears the cache under the window lock, so a view taken after a
-// write always reflects every Observe, ObserveBatch and Rotate that
+// Each call on a live window builds a new view under a brief window-lock
+// hold, so the view reflects every Observe, ObserveBatch and Rotate that
 // completed before the call — the read-your-writes contract the serving
-// layer's ?wait=1 relies on. A write moves only the current generation,
-// so every view of one epoch shares the window's fold of its sealed
-// generations: the epoch's first analytics read (Users, RangeUsers,
-// NumUsers, TopK) builds it once, and a rotation or restore starts the
-// next epoch's.
+// layer's ?wait=1 relies on. Nothing caches it: keep a view for as long as
+// its reads should agree, and take a new one to see later writes. A write
+// moves only the current generation, so every view of one epoch shares the
+// window's fold of its sealed generations: the epoch's first analytics
+// read (Users, RangeUsers, NumUsers, TopK) builds it once, and a rotation
+// or restore starts the next epoch's.
 //
-// On a standalone Windowed the view after a write is built by whichever
-// reader calls Snapshot first (a brief window-lock hold); per-edge ingest
-// stays cheap because nothing is forked until somebody asks. Inside a
-// Sharded(Windowed(...)) serving stack the roles invert: the shard's write
-// path calls Snapshot itself right after mutating — while it still holds
-// the shard lock, so the window lock is uncontended — and publishes the
-// result, so serving-path readers never pay for the view (see snapshot.go).
+// On a standalone Windowed only enumerations and explicit Snapshot calls
+// build a view; point reads sum the live generations, so per-edge ingest
+// interleaved with point reads forks nothing. Inside a
+// Sharded(Windowed(...)) serving stack the shard's write path calls
+// Snapshot itself right after mutating — while it still holds the shard
+// lock, so the window lock is uncontended — and publishes the result in
+// the Sharded's view, so serving-path readers never pay for the view (see
+// snapshot.go).
 func (w *Windowed) Snapshot() *Windowed {
 	if w.frozen {
 		return w
 	}
-	if v := w.pub.Load(); v != nil {
-		return v
-	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	v := w.pub.Load()
-	if v == nil { // no other reader built it while this one waited
-		v = w.freezeLocked(layer.view)
-		w.pub.Store(v)
-	}
-	return v
+	return w.freezeLocked(layer.view)
 }
 
-// fullSnapshot is Snapshot's full twin: the current generation's full fork
-// (FreeBS/FreeRS Snapshot, which copies its array) and the sealed
-// generations shared, so MarshalBinary and merges work on it. It is never
-// cached: each call copies one array under the window lock and leaves the
-// writer nothing to copy. Only the full cuts behind checkpoints and merged
-// totals take it.
+// fullSnapshot is Snapshot's full twin: a clone of the current generation
+// (its array and per-user table copied) and the sealed generations shared,
+// so MarshalBinary and merges work on it. Each call copies one array and
+// one table under the window lock and leaves the writer nothing to copy.
+// Only the full cuts behind checkpoints and merged totals take it.
 func (w *Windowed) fullSnapshot() *Windowed {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -293,32 +280,37 @@ func (w *Windowed) ObserveBatch(edges []Edge) {
 	w.fedLocked(uint64(len(edges)))
 }
 
-// fedLocked attributes n more edges to the current epoch, rotates once if
-// that reached the WithRotateEveryEdges boundary, and clears the cached
-// view. The caller holds the window lock.
+// fedLocked attributes n more edges to the current epoch and rotates once
+// if that reached the WithRotateEveryEdges boundary. The caller holds the
+// window lock.
 func (w *Windowed) fedLocked(n uint64) {
 	w.edges += n
 	if w.cfg.everyEdges > 0 && w.edges >= w.cfg.everyEdges {
 		w.rotateLocked()
 	}
-	w.pub.Store(nil)
 }
 
-// Estimate implements Estimator: the sum over live generations, read from
-// the view Snapshot returns, so it holds no lock while it sums.
+// Estimate implements Estimator: the sum over live generations, newest
+// first. A live window sums under the window lock — O(k) probes, nothing
+// forked — and a view sums its frozen generations with no lock; both add
+// the same values in the same order, so they agree bit for bit.
 func (w *Windowed) Estimate(user uint64) float64 {
+	w.lock()
+	defer w.unlock()
 	sum := 0.0
-	for _, g := range w.Snapshot().gens {
+	for _, g := range w.gens {
 		sum += g.Estimate(user)
 	}
 	return sum
 }
 
-// TotalDistinct implements Estimator (same windowed semantics and the same
-// snapshot routing as Estimate).
+// TotalDistinct implements Estimator (the same windowed sum and locking as
+// Estimate).
 func (w *Windowed) TotalDistinct() float64 {
+	w.lock()
+	defer w.unlock()
 	sum := 0.0
-	for _, g := range w.Snapshot().gens {
+	for _, g := range w.gens {
 		sum += g.TotalDistinct()
 	}
 	return sum
@@ -364,19 +356,17 @@ func (w *Windowed) rotateLocked() {
 	w.epoch++
 	w.edges = 0
 	w.fold = new(sealedFold)
-	w.pub.Store(nil)
 }
 
 // install replaces the live state with gens (newest first), epoch and
-// edges, and clears the cached view and the sealed fold: the restore step
-// of Merge and UnmarshalBinary. Both build a valid state first (a merged
-// clone, a checkpoint core.UnmarshalWindow checked), so it checks nothing.
+// edges, and starts a fresh sealed fold: the restore step of Merge and
+// UnmarshalBinary. Both build a valid state first (a merged clone, a
+// checkpoint core.UnmarshalWindow checked), so it checks nothing.
 func (w *Windowed) install(gens []layer, epoch, edges uint64) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	w.gens, w.epoch, w.edges = gens, epoch, edges
 	w.fold = new(sealedFold)
-	w.pub.Store(nil)
 }
 
 // Epoch returns how many rotations have happened.
@@ -436,11 +426,10 @@ func (w *Windowed) NumUsers() int {
 // so this is an upper bound on NumUsers that costs O(k) table-length reads
 // instead of NumUsers' O(users) walk, and never builds the sealed fold.
 // Occupancy gauges scraped every few seconds want this reading; exact
-// distinct-user counts want NumUsers. Deliberately NOT snapshot-routed:
-// the whole point of this reading is that a periodic scrape costs O(k)
-// counter loads under a brief window-lock hold — building a view here
-// would make every scrape mark the current per-user table shared and bill
-// the writer a fresh copy-on-write detach for a gauge.
+// distinct-user counts want NumUsers. Like the point reads it reads the
+// live generations under a brief window-lock hold, never a view: building
+// one here would make every scrape mark the current per-user table shared
+// and bill the writer a fresh copy-on-write detach for a gauge.
 func (w *Windowed) UserEntries() int {
 	w.lock()
 	defer w.unlock()
@@ -662,7 +651,7 @@ func (w *Windowed) Clone() *Windowed {
 // through the versioned window envelope in internal/core. On a live window
 // it serializes a full cut (fullSnapshot), so it is safe against concurrent
 // writers and holds the window lock only while the cut copies the current
-// generation's array. It fails on an estimates-only view from Snapshot,
+// generation's array and per-user table. It fails on an estimates-only view from Snapshot,
 // which has no array words to write.
 func (w *Windowed) MarshalBinary() ([]byte, error) {
 	v := w
